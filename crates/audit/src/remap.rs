@@ -16,8 +16,8 @@ use hf_resilience::{AssembledState, CheckpointStore, FaultInjector, FaultPlan, F
 use hf_rlhf::env::make_prompts;
 use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
-    ppo_iteration, remap_recoverable, MapperPlanner, Placement, RecoveryConfig, RemapConfig,
-    RemapDriver, RlhfConfig, RlhfSystem,
+    ppo_iteration, remap_recoverable, MapperPlanner, Placement, RecoveryConfig, RlhfConfig,
+    RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hf_telemetry::Telemetry;
@@ -123,11 +123,6 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
         checkpoint_every: 1,
         batch: cfg.rows,
         data_seed: cfg.seed,
-        ..Default::default()
-    };
-    let remap_cfg = RemapConfig {
-        recovery: rc.clone(),
-        driver: RemapDriver::Barrier,
         allowed: Some((0..cfg.world).map(DeviceId).collect()),
         ..Default::default()
     };
@@ -135,7 +130,7 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
     let report = remap_recoverable(
         &ctrl,
         &live,
-        &remap_cfg,
+        &rc,
         &initial_placement(cfg.world),
         RlhfConfig::tiny(),
         &mut planner,
@@ -145,7 +140,7 @@ pub fn remap_divergence(cfg: &RemapAuditConfig) -> Result<Option<String>, String
     let ev = report
         .remaps
         .first()
-        .ok_or_else(|| format!("the kill never triggered a re-map: {:?}", report.run.log))?
+        .ok_or_else(|| format!("the kill never triggered a re-map: {:?}", report.log))?
         .clone();
     let last = cfg.iterations as u64;
     let live_actor = live.load_group(last, "actor").map_err(|e| format!("live actor: {e}"))?;

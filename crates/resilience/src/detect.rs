@@ -93,7 +93,8 @@ pub struct RecoveryStats {
     /// discarded training work, so accounted apart from
     /// `virtual_time_lost`.
     pub checkpoint_window_lost_s: f64,
-    /// Per-remap mapping-search decision time, virtual-run wall seconds.
+    /// Per-remap mapping-search decision time, host wall seconds (kept
+    /// out of telemetry).
     pub remap_search_s: Vec<f64>,
     /// Per-remap live-reshard (restore broadcast) time, virtual seconds.
     pub remap_reshard_s: Vec<f64>,
@@ -147,9 +148,9 @@ impl RecoveryStats {
         telemetry.set_gauge("resilience.mttr_s", self.mean_mttr_s());
         telemetry.set_gauge("resilience.rollback_lost_s", self.virtual_time_lost);
         telemetry.set_gauge("resilience.ckpt_window_lost_s", self.checkpoint_window_lost_s);
-        if !self.remap_search_s.is_empty() {
-            telemetry
-                .set_gauge("resilience.remap_search_s", self.remap_search_s.iter().sum::<f64>());
+        // Remap search time is host wall time: it stays on the stats and
+        // out of telemetry, which must be deterministic.
+        if !self.remap_reshard_s.is_empty() {
             telemetry
                 .set_gauge("resilience.remap_reshard_s", self.remap_reshard_s.iter().sum::<f64>());
         }

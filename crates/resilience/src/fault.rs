@@ -25,7 +25,9 @@ fn splitmix(mut x: u64) -> u64 {
 pub enum FaultTrigger {
     /// The first RPC delivered to the target at or after this virtual
     /// time. (A rank that never receives another RPC never fires — the
-    /// injector lives at the delivery site.)
+    /// injector lives at the delivery site.) The recovery loop keeps one
+    /// controller clock across recoveries, so the time is absolute over
+    /// the whole run.
     AtTime(f64),
     /// The `nth` (1-based) dispatch of `method` to the target rank.
     OnCall {

@@ -22,12 +22,13 @@
 //!   final `COMMIT` marker, then reassembled and broadcast into a
 //!   freshly spawned worker group on restore.
 //!
-//! The recoverable training outer loop that ties these together lives
-//! in `hf-rlhf` (`run_recoverable`), which checkpoints every N
-//! iterations, detects a failure, respawns the worker groups (fresh
-//! communicators replace poisoned ones), restores the latest committed
-//! checkpoint, and replays — bit-identically, because prompt streams
-//! are seeded by iteration and worker state restores exactly.
+//! The recovery loop that ties these together lives in `hf-rlhf`
+//! (`remap_recoverable`), which checkpoints every N iterations, detects
+//! a failure, respawns the worker groups on the live controller (fresh
+//! communicators replace poisoned ones) in the same or a re-searched
+//! layout, restores the latest committed checkpoint, and replays —
+//! bit-identically, because prompt streams are seeded by iteration and
+//! worker state restores exactly.
 
 #![warn(missing_docs)]
 

@@ -34,10 +34,14 @@
 //! * [`trainer`] — [`trainer::RlhfTrainer`]: the multi-iteration loop
 //!   with a prompt stream, stats history, periodic checkpoints, and
 //!   rollback on failure.
-//! * [`recover`] — [`recover::run_recoverable`]: the checkpoint →
-//!   detect → respawn → restore → replay outer loop over `hf-resilience`
-//!   sharded on-disk checkpoints, recovering bit-identically from lost
-//!   ranks.
+//! * [`recover`] — the recovery loop's [`recover::RecoveryConfig`] and
+//!   [`recover::RecoveryReport`], and the sharded system checkpoint
+//!   helpers over `hf-resilience` on-disk checkpoints.
+//! * [`remap`] — [`remap::remap_recoverable`]: the one checkpoint →
+//!   detect → respawn → restore → replay loop on a live controller. A
+//!   plain restart is the [`remap::KeepLayout`] planner; elastic
+//!   re-mapping onto survivors is [`remap::MapperPlanner`]. Both recover
+//!   bit-identically from lost ranks.
 //! * [`zero`] — a functional ZeRO-3 actor (`ZeROWorker`, §4.1):
 //!   parameters sharded across the DP group, gathered on demand,
 //!   gradients reduce-scattered — numerically identical to the
@@ -65,12 +69,11 @@ pub use algo::{
 };
 pub use pipeline::{PipelineConfig, PipelinedPpo};
 pub use recover::{
-    restore_system_checkpoint, run_recoverable, save_system_checkpoint, RecoveryConfig,
-    RecoveryReport,
+    restore_system_checkpoint, save_system_checkpoint, RecoveryConfig, RecoveryReport,
 };
 pub use remap::{
-    bridge_spec, remap_recoverable, MapperPlanner, PlannedPlacement, PlannedRemap, RemapConfig,
-    RemapDriver, RemapEvent, RemapPlanner, RemapReport,
+    bridge_spec, remap_recoverable, KeepLayout, MapperPlanner, PlannedPlacement, PlannedRemap,
+    RemapDriver, RemapEvent, RemapPlanner,
 };
 pub use trainer::{Algorithm, RlhfTrainer, TrainerConfig};
 pub use verifier::RewardEvaluatorWorker;

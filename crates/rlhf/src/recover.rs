@@ -1,31 +1,35 @@
-//! The recoverable training outer loop: checkpoint → detect → respawn →
-//! restore → replay.
+//! Configuration, report, and shared steps of the one recovery loop,
+//! [`remap_recoverable`](crate::remap::remap_recoverable).
 //!
-//! [`RlhfTrainer`](crate::trainer::RlhfTrainer) rolls back *in memory*
-//! on an application error, but a lost rank takes its worker group with
-//! it: the dead rank's communicators are poisoned, surviving peers
-//! return `PeerFailed`, and no call on that group can ever succeed
-//! again. Recovery therefore has to rebuild the system — fresh
-//! controller, fresh worker groups, fresh communicators — and restore
-//! the last committed on-disk checkpoint into it.
+//! A lost rank takes its worker group with it: the dead rank's
+//! communicators are poisoned, surviving peers return `PeerFailed`, and
+//! no call on that group can ever succeed again. The loop therefore
+//! despawns the groups on the live controller, respawns them — in the
+//! same layout ([`KeepLayout`](crate::remap::KeepLayout): a plain
+//! restart on a replaced device) or in a re-searched one
+//! ([`MapperPlanner`](crate::remap::MapperPlanner)) — restores the last
+//! committed on-disk checkpoint into them, and replays from there.
 //!
-//! [`run_recoverable`] drives exactly that loop. Determinism makes the
-//! recovery *exact*: prompt batches are seeded by iteration number, the
-//! sharded checkpoint restores parameters, Adam moments, step counts,
-//! and the generation RNG round bit-for-bit, so a run that loses a rank
-//! mid-training converges to the same final parameters as a fault-free
-//! run (the `fault_recovery` integration test asserts byte equality).
+//! Determinism makes the recovery *exact*: prompt batches are seeded by
+//! iteration number, the sharded checkpoint restores parameters, Adam
+//! moments, step counts, and the generation RNG round bit-for-bit, so a
+//! run that loses a rank mid-training converges to the same final
+//! parameters as a fault-free run (the `fault_recovery` integration test
+//! asserts byte equality).
 
-use hf_core::{Controller, CoreError, Result};
-use hf_resilience::{classify, CheckpointStore, FailureKind, RecoveryStats};
+use hf_core::{Controller, DataProto, Result};
+use hf_resilience::{CheckpointStore, RecoveryStats};
+use hf_simcluster::DeviceId;
 
 use crate::algo::{
-    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, IterStats, RlhfSystem,
+    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, IterStats, RlhfConfig,
+    RlhfSystem,
 };
 use crate::env::{make_pretrain, make_prompts};
+use crate::remap::{PlannedRemap, RemapDriver, RemapEvent};
 use crate::trainer::Algorithm;
 
-/// Configuration of the recoverable outer loop.
+/// Configuration of the recovery loop.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// The algorithm to run each iteration.
@@ -42,6 +46,15 @@ pub struct RecoveryConfig {
     pub data_seed: u64,
     /// Recoveries to attempt before giving up.
     pub max_recoveries: u32,
+    /// The window driver.
+    pub driver: RemapDriver,
+    /// Scheduled load-shift re-maps, matured at iteration boundaries.
+    pub planned: Vec<PlannedRemap>,
+    /// The device universe this run may occupy (`None` = the whole
+    /// cluster). Lost devices are removed from it as they die.
+    pub allowed: Option<Vec<DeviceId>>,
+    /// Give up (error out) if fewer healthy devices remain.
+    pub min_world: usize,
 }
 
 impl Default for RecoveryConfig {
@@ -53,6 +66,10 @@ impl Default for RecoveryConfig {
             batch: 8,
             data_seed: 0,
             max_recoveries: 4,
+            driver: RemapDriver::Barrier,
+            planned: Vec::new(),
+            allowed: None,
+            min_world: 1,
         }
     }
 }
@@ -64,13 +81,18 @@ pub struct RecoveryReport {
     /// replayed and their replayed stats kept).
     pub history: Vec<IterStats>,
     /// Failure / recovery bookkeeping (also exported as `resilience.*`
-    /// telemetry on the final controller).
+    /// telemetry on the controller).
     pub stats: RecoveryStats,
-    /// One line per recovery: what failed and where training resumed.
+    /// One line per recovery or re-map: what happened and where
+    /// training resumed.
     pub log: Vec<String>,
-    /// Total virtual seconds across every controller epoch (failed
-    /// epochs included).
+    /// Total virtual seconds of the run, failed work included.
     pub virtual_time_s: f64,
+    /// Every completed respawn — fault recovery or planned shift — in
+    /// order.
+    pub remaps: Vec<RemapEvent>,
+    /// The device count the run finished on.
+    pub final_world: usize,
 }
 
 /// Saves a consistent sharded checkpoint of the system's trainable
@@ -107,179 +129,30 @@ pub fn restore_system_checkpoint(
     Ok(())
 }
 
+/// The `batch`-prompt batch an iteration drawn with `seed` trains on.
+pub(crate) fn iteration_prompts(rc: &RlhfConfig, batch: usize, seed: u64) -> DataProto {
+    make_prompts(batch, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, seed)
+}
+
+/// One iteration of `algorithm` on [`iteration_prompts`] — the
+/// algorithm dispatch every driver shares.
 pub(crate) fn run_iteration(
     sys: &RlhfSystem,
     ctrl: &Controller,
-    cfg: &RecoveryConfig,
-    iteration: u64,
+    algorithm: Algorithm,
+    batch: usize,
+    seed: u64,
 ) -> Result<IterStats> {
     let rc = &sys.cfg;
-    let seed = cfg.data_seed.wrapping_add(iteration);
-    let prompts = make_prompts(cfg.batch, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, seed);
-    match cfg.algorithm {
+    let prompts = iteration_prompts(rc, batch, seed);
+    match algorithm {
         Algorithm::Ppo => ppo_iteration(sys, ctrl, &prompts),
         Algorithm::ReMax => remax_iteration(sys, ctrl, &prompts),
         Algorithm::Grpo => grpo_iteration(sys, ctrl, &prompts),
         Algorithm::SafeRlhf => {
             let pretrain =
-                make_pretrain(cfg.batch, rc.prompt_len + rc.response_len, rc.lm.vocab as u32, seed);
+                make_pretrain(batch, rc.prompt_len + rc.response_len, rc.lm.vocab as u32, seed);
             safe_rlhf_iteration(sys, ctrl, &prompts, &pretrain)
         }
     }
-}
-
-/// Runs `cfg.iterations` iterations with checkpoint-based fault
-/// recovery.
-///
-/// `build(epoch)` constructs a controller plus system; epoch 0 is the
-/// initial build, and each recovery calls it again with the next epoch
-/// (typically on the same cluster spec, with the same — partially
-/// consumed — fault injector, so one-shot faults do not re-fire).
-/// On any failure except an application error, the loop tears the old
-/// system down, rebuilds, restores the latest committed checkpoint, and
-/// resumes from that iteration. An application error (bad data, unknown
-/// method) propagates immediately: replaying it would fail identically.
-pub fn run_recoverable<F>(
-    store: &CheckpointStore,
-    cfg: &RecoveryConfig,
-    mut build: F,
-) -> Result<RecoveryReport>
-where
-    F: FnMut(u32) -> Result<(Controller, RlhfSystem)>,
-{
-    assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be >= 1");
-    let mut epoch = 0u32;
-    let (mut ctrl, mut sys) = build(epoch)?;
-
-    let mut stats = RecoveryStats::new();
-    let mut log = Vec::new();
-    let mut history: Vec<IterStats> = Vec::new();
-    let mut iteration = 0u64;
-    // Virtual time of the last committed checkpoint on the *current*
-    // controller's clock (work since then is lost on rollback), and the
-    // summed clocks of finished controller epochs.
-    let mut t_ckpt = ctrl.clock();
-    let mut virtual_base = 0.0f64;
-    let mut initialized = false;
-    // Clock at which the in-flight checkpoint write began, if one is in
-    // flight. A fault inside the write loses *checkpoint overhead*, not
-    // training work — the accounting below keeps the two apart.
-    let mut save_start: Option<f64> = None;
-
-    loop {
-        // The fallible slice of one loop turn: the initial step-0
-        // checkpoint on the first turn, then iteration + boundary
-        // checkpoint. A rank lost *during checkpointing* (the
-        // `save_shard` collective) recovers exactly like one lost
-        // mid-iteration: the partially written step is never committed.
-        let outcome = if !initialized {
-            save_start = Some(ctrl.clock());
-            save_system_checkpoint(store, &sys, &ctrl, 0).map(|()| None)
-        } else {
-            match run_iteration(&sys, &ctrl, cfg, iteration) {
-                Ok(st) => {
-                    let next = iteration + 1;
-                    let boundary = next.is_multiple_of(cfg.checkpoint_every as u64)
-                        || next as usize == cfg.iterations;
-                    if boundary {
-                        save_start = Some(ctrl.clock());
-                        save_system_checkpoint(store, &sys, &ctrl, next).map(|()| Some(st))
-                    } else {
-                        Ok(Some(st))
-                    }
-                }
-                Err(e) => Err(e),
-            }
-        };
-        match outcome {
-            Ok(st) => {
-                save_start = None;
-                if let Some(st) = st {
-                    iteration += 1;
-                    history.push(st);
-                } else {
-                    initialized = true;
-                }
-                if iteration.is_multiple_of(cfg.checkpoint_every as u64)
-                    || iteration as usize == cfg.iterations
-                {
-                    // The committed instant as the marker recorded it —
-                    // the anchor every later lost-work figure is
-                    // measured against.
-                    t_ckpt = store
-                        .latest_step()
-                        .and_then(|s| store.commit_time(s))
-                        .unwrap_or_else(|| ctrl.clock());
-                }
-                if initialized && iteration as usize >= cfg.iterations {
-                    break;
-                }
-            }
-            Err(e) => {
-                stats.record_failure();
-                if classify(&e) == FailureKind::Application {
-                    return Err(e);
-                }
-                epoch += 1;
-                if epoch > cfg.max_recoveries {
-                    return Err(CoreError::Worker(format!(
-                        "gave up after {} recoveries: {e}",
-                        cfg.max_recoveries
-                    )));
-                }
-                // Split the interval since the last COMMIT marker: work
-                // before the interrupted checkpoint write began is
-                // discarded training; the write window itself is
-                // checkpoint overhead.
-                let at_fault = ctrl.clock();
-                let (train_end, ckpt_window) = match save_start.take() {
-                    Some(s) => (s, at_fault - s),
-                    None => (at_fault, 0.0),
-                };
-                let lost = (train_end - t_ckpt).max(0.0);
-                stats.record_checkpoint_window(ckpt_window);
-                virtual_base += ctrl.clock();
-                // The old controller (poisoned groups and all) dies here;
-                // a wedged device thread surfaces through shutdown's join.
-                drop(sys);
-                let _ = ctrl.shutdown();
-                let (nctrl, nsys) = build(epoch)?;
-                ctrl = nctrl;
-                sys = nsys;
-                match store.latest_step() {
-                    Some(step) => {
-                        restore_system_checkpoint(store, &sys, step)?;
-                        let mttr = ctrl.clock();
-                        stats.record_recovery(mttr, lost);
-                        ctrl.telemetry().observe_digest("resilience.mttr_s", mttr);
-                        log.push(format!(
-                            "epoch {epoch}: iteration {iteration} failed ({e}); \
-                             restored step {step}, {lost:.3}s virtual work lost, \
-                             respawn+restore took {mttr:.3}s"
-                        ));
-                        history.truncate(step as usize);
-                        iteration = step;
-                    }
-                    None => {
-                        // Lost a rank before step 0 ever committed: a
-                        // fresh build *is* the initial state (worker
-                        // construction is seed-deterministic), so re-save.
-                        stats.record_recovery(ctrl.clock(), lost);
-                        ctrl.telemetry().observe_digest("resilience.mttr_s", ctrl.clock());
-                        log.push(format!(
-                            "epoch {epoch}: failed before the initial checkpoint \
-                             committed ({e}); rebuilt from seeds"
-                        ));
-                        initialized = false;
-                        history.clear();
-                        iteration = 0;
-                    }
-                }
-                t_ckpt = ctrl.clock();
-            }
-        }
-    }
-    stats.export(ctrl.telemetry());
-    let virtual_time_s = virtual_base + ctrl.clock();
-    Ok(RecoveryReport { history, stats, log, virtual_time_s })
 }

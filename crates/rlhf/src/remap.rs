@@ -1,30 +1,36 @@
-//! Elastic re-mapping: online re-placement + live resharding on device
-//! loss or load shift.
+//! The one recovery loop: checkpoint → detect → respawn (same or new
+//! layout) → restore → continue, on one live controller.
 //!
-//! [`run_recoverable`](crate::recover::run_recoverable) survives a rank
-//! loss by tearing the *whole controller* down and rebuilding the same
-//! layout. That is the wrong answer when the device is permanently gone
-//! (the old layout no longer fits) or when a serving front-end
-//! re-negotiates training's GPU share mid-run (the old layout is no
-//! longer the right one). [`remap_recoverable`] instead keeps the
-//! controller alive and re-enters the device-mapping search:
+//! [`remap_recoverable`] handles a lost rank and a serving front-end
+//! re-negotiating training's GPU share the same way. A plain restart is
+//! the [`KeepLayout`] case: the same placement goes back on the same
+//! devices (a replaced device). When the device is permanently gone or
+//! the budget shrank, a [`MapperPlanner`] re-enters the device-mapping
+//! search instead. Each recovery or shift runs:
 //!
 //! 1. **Detect** — a window fails with a rank-loss/timeout error and the
 //!    controller's [`LostRank`](hf_core::LostRank) registry names the
 //!    devices that died; or a [`PlannedRemap`] (a load-shift signal,
 //!    e.g. from `hf-serve`) matures at a checkpoint boundary.
-//! 2. **Re-place** — a [`RemapPlanner`] re-runs `Mapper::search` over
-//!    the surviving device set (the mapper's caches are world-size
-//!    independent, so the re-search is warm-started) and bridges the
-//!    winning strategy onto the running system's toy model.
+//! 2. **Re-place** — a [`RemapPlanner`] picks the new placement:
+//!    [`MapperPlanner`] re-runs `Mapper::search` over the surviving
+//!    device set (the mapper's caches are world-size independent, so
+//!    the re-search is warm-started) and bridges the winning strategy
+//!    onto the running system's toy model.
 //! 3. **Reshard live** — the old worker groups are despawned *on the
 //!    live controller* ([`Controller::despawn_group`]), the new groups
-//!    spawned over the survivors, and the last committed checkpoint is
-//!    broadcast into the new layout through the existing
+//!    spawned on the planned devices, and the last committed checkpoint
+//!    is broadcast into the new layout through the existing
 //!    `CheckpointStore::restore_group` path — which is layout-agnostic
 //!    by construction.
 //! 4. **Continue** — the driver re-enters at the last committed step.
-//!    No process restart, no full replay.
+//!    No process restart, no full replay. A rank lost before the step-0
+//!    checkpoint commits has nothing to restore: the respawned system
+//!    *is* the initial state (worker construction is seed-deterministic),
+//!    so the loop re-saves step 0 and starts over.
+//!
+//! The controller clock runs on across recoveries, so a
+//! `FaultTrigger::AtTime` is absolute over the whole run.
 //!
 //! **Determinism contract.** Prompt batches are seeded by iteration
 //! number and the checkpoint restores parameters, Adam moments, step
@@ -47,10 +53,11 @@ use hf_resilience::{classify, CheckpointStore, FailureKind, RecoveryStats};
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 use crate::algo::{IterStats, Placement, RlhfConfig, RlhfSystem};
-use crate::env::make_prompts;
 use crate::pipeline::{PipelineConfig, PipelinedPpo};
-use crate::recover::{restore_system_checkpoint, run_iteration, save_system_checkpoint};
-use crate::recover::{RecoveryConfig, RecoveryReport};
+use crate::recover::{
+    iteration_prompts, restore_system_checkpoint, run_iteration, save_system_checkpoint,
+    RecoveryConfig, RecoveryReport,
+};
 use crate::trainer::Algorithm;
 
 /// How windows between checkpoints are driven.
@@ -75,44 +82,18 @@ pub struct PlannedRemap {
     pub devices: usize,
 }
 
-/// Configuration of the elastic outer loop.
-#[derive(Debug, Clone)]
-pub struct RemapConfig {
-    /// Iteration count, checkpoint cadence, batch, seeds, retry budget.
-    pub recovery: RecoveryConfig,
-    /// The window driver.
-    pub driver: RemapDriver,
-    /// Scheduled load-shift re-maps, matured at iteration boundaries.
-    pub planned: Vec<PlannedRemap>,
-    /// The device universe this run may occupy (`None` = the whole
-    /// cluster). Lost devices are removed from it as they die.
-    pub allowed: Option<Vec<DeviceId>>,
-    /// Give up (error out) if fewer healthy devices remain.
-    pub min_world: usize,
-}
-
-impl Default for RemapConfig {
-    fn default() -> Self {
-        RemapConfig {
-            recovery: RecoveryConfig::default(),
-            driver: RemapDriver::Barrier,
-            planned: Vec::new(),
-            allowed: None,
-            min_world: 1,
-        }
-    }
-}
-
 /// What a planner decided for one re-map.
 #[derive(Debug, Clone)]
 pub struct PlannedPlacement {
-    /// The new placement (every pool ⊆ the survivor set handed in).
+    /// The new placement (every pool ⊆ the survivor set handed in,
+    /// except under [`KeepLayout`], which models replaced devices).
     pub placement: Placement,
     /// The actor's training layout under the new placement.
     pub spec: ParallelSpec,
-    /// Wall-clock seconds the placement decision took. Recorded in
-    /// stats and telemetry, but *never* fed into virtual time — the
-    /// decision must not perturb simulated timing (determinism).
+    /// Wall-clock seconds the placement decision took. Recorded on the
+    /// [`RemapEvent`] and in [`RecoveryStats`], but *never* fed into
+    /// virtual time or telemetry — the decision must not perturb
+    /// simulated timing or deterministic artefacts.
     pub search_wall_s: f64,
     /// `(plan, alloc)` candidates the search scored, 0 if not searched.
     pub evaluations: usize,
@@ -235,6 +216,28 @@ impl RemapPlanner for MapperPlanner {
     }
 }
 
+/// The restart planner: puts the same placement back on the same
+/// devices, modelling a replaced device. It ignores the survivor set —
+/// the killed rank's device thread outlives the kill (only the worker
+/// is marked dead, and despawning clears the mark).
+pub struct KeepLayout(pub Placement);
+
+impl RemapPlanner for KeepLayout {
+    fn plan(
+        &mut self,
+        _survivors: &[DeviceId],
+        _rlhf: &RlhfConfig,
+        _algorithm: Algorithm,
+    ) -> Result<PlannedPlacement> {
+        Ok(PlannedPlacement {
+            placement: self.0.clone(),
+            spec: self.0.actor.layout.spec,
+            search_wall_s: 0.0,
+            evaluations: 0,
+        })
+    }
+}
+
 /// One completed re-map.
 #[derive(Debug, Clone)]
 pub struct RemapEvent {
@@ -259,30 +262,19 @@ pub struct RemapEvent {
     pub blackout_s: f64,
 }
 
-/// What an elastic run did: the recoverable-run report plus one
-/// [`RemapEvent`] per re-map.
-#[derive(Debug)]
-pub struct RemapReport {
-    /// The underlying run report (history, stats, log, virtual time).
-    pub run: RecoveryReport,
-    /// Every completed re-map, in order.
-    pub remaps: Vec<RemapEvent>,
-    /// The device count the run finished on.
-    pub final_world: usize,
-}
-
 fn run_window(
     sys: &RlhfSystem,
     ctrl: &Controller,
     cfg: &RecoveryConfig,
-    driver: RemapDriver,
     start: u64,
     end: u64,
 ) -> Result<Vec<IterStats>> {
-    match driver {
-        RemapDriver::Barrier => (start..end).map(|i| run_iteration(sys, ctrl, cfg, i)).collect(),
+    let seed = |i: u64| cfg.data_seed.wrapping_add(i);
+    match cfg.driver {
+        RemapDriver::Barrier => (start..end)
+            .map(|i| run_iteration(sys, ctrl, cfg.algorithm, cfg.batch, seed(i)))
+            .collect(),
         RemapDriver::Pipelined(pcfg) => {
-            let rc = &sys.cfg;
             // Rounds are absolute across the run (one generation per
             // iteration), so a window starting at iteration `start`
             // continues the sequence — bit-compatible with the barrier
@@ -290,14 +282,7 @@ fn run_window(
             let mut pipe = PipelinedPpo::with_round(pcfg, start);
             let mut out = Vec::new();
             for i in start..end {
-                let seed = cfg.data_seed.wrapping_add(i);
-                let prompts = make_prompts(
-                    cfg.batch,
-                    rc.prompt_len,
-                    rc.response_len,
-                    rc.lm.vocab as u32,
-                    seed,
-                );
+                let prompts = iteration_prompts(&sys.cfg, cfg.batch, seed(i));
                 if let Some(st) = pipe.step(sys, ctrl, &prompts)? {
                     out.push(st);
                 }
@@ -322,25 +307,27 @@ fn despawn_system(ctrl: &Controller, sys: RlhfSystem) {
     }
 }
 
-/// Runs `cfg.recovery.iterations` iterations on one live controller,
-/// re-mapping onto the surviving device set whenever a rank dies and
-/// whenever a [`PlannedRemap`] matures. See the module docs for the
-/// protocol and the determinism contract.
+/// Runs `cfg.iterations` iterations on one live controller with
+/// checkpoint-based recovery: whenever a rank dies, and whenever a
+/// [`PlannedRemap`] matures, the system is respawned where `planner`
+/// says and restored from the last committed checkpoint. See the
+/// module docs for the protocol and the determinism contract.
 ///
 /// `initial` places the first epoch; `rlhf` configures every system the
 /// run builds (the model is identical across re-maps — only the layout
-/// moves). Returns an error on application failures, on an exhausted
-/// retry budget, and when fewer than `cfg.min_world` devices survive.
+/// moves). An application error (bad data, unknown method) propagates
+/// immediately: replaying it would fail identically. The run also
+/// errors out on an exhausted retry budget, and when fewer than
+/// `cfg.min_world` devices survive.
 pub fn remap_recoverable(
     ctrl: &Controller,
     store: &CheckpointStore,
-    cfg: &RemapConfig,
+    cfg: &RecoveryConfig,
     initial: &Placement,
     rlhf: RlhfConfig,
     planner: &mut dyn RemapPlanner,
-) -> Result<RemapReport> {
-    let rc = &cfg.recovery;
-    assert!(rc.checkpoint_every >= 1, "checkpoint_every must be >= 1");
+) -> Result<RecoveryReport> {
+    assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be >= 1");
     let telemetry = ctrl.telemetry().clone();
     let mut sys = RlhfSystem::build(ctrl, initial, rlhf.clone())?;
     let mut world = initial.actor.pool.len();
@@ -357,6 +344,14 @@ pub fn remap_recoverable(
     planned.sort_by_key(|p| p.after_iteration);
     let mut iteration = 0u64;
     let mut recoveries = 0u32;
+    // Whether the step-0 checkpoint has committed.
+    let mut initialized = false;
+    // The instant lost work is measured from: the last commit, or the
+    // instant training resumed after a recovery or re-map, if later.
+    let mut t_ckpt = ctrl.clock();
+    // Clock at which the in-flight checkpoint write began, if one is in
+    // flight. A fault inside the write loses *checkpoint overhead*, not
+    // training work — the accounting below keeps the two apart.
     let mut save_start: Option<f64> = None;
 
     // The healthy devices this run may occupy, truncated to `limit`.
@@ -371,9 +366,11 @@ pub fn remap_recoverable(
 
     // One re-map: despawn → plan → respawn → restore → account.
     // `reason` feeds the event log; `step` is the committed step to
-    // restore (the caller guarantees it exists).
+    // restore (`None`: nothing committed, the respawn is the initial
+    // state).
     macro_rules! do_remap {
         ($sys:ident, $reason:expr, $step:expr) => {{
+            let step: Option<u64> = $step;
             let t_detect = ctrl.clock();
             let world_before = world;
             despawn_system(ctrl, $sys);
@@ -385,17 +382,19 @@ pub fn remap_recoverable(
                     cfg.min_world
                 )));
             }
-            let plan = planner.plan(&alive, &rlhf, rc.algorithm)?;
+            let plan = planner.plan(&alive, &rlhf, cfg.algorithm)?;
             let new_sys = RlhfSystem::build(ctrl, &plan.placement, rlhf.clone())?;
             let bytes0 = telemetry.counter("protocol.OneToAll.dispatch_bytes");
             let t_reshard = ctrl.clock();
-            restore_system_checkpoint(store, &new_sys, $step)?;
+            if let Some(step) = step {
+                restore_system_checkpoint(store, &new_sys, step)?;
+            }
             let reshard_s = ctrl.clock() - t_reshard;
             let reshard_bytes = telemetry.counter("protocol.OneToAll.dispatch_bytes") - bytes0;
             let blackout_s = ctrl.clock() - t_detect;
+            let resumed_step = step.unwrap_or(0);
             world = plan.placement.actor.pool.len();
             stats.record_remap(plan.search_wall_s, reshard_s);
-            telemetry.observe_digest("remap.search_s", plan.search_wall_s);
             telemetry.observe_digest("remap.reshard_s", reshard_s);
             telemetry.observe_digest("remap.blackout_s", blackout_s);
             telemetry.add_counter("remap.reshard_bytes", reshard_bytes);
@@ -404,11 +403,11 @@ pub fn remap_recoverable(
             log.push(format!(
                 "remap ({}): {} -> {} devices, layout {:?}, resumed step {}, \
                  blackout {:.3}s ({:.3}s reshard)",
-                $reason, world_before, world, plan.spec, $step, blackout_s, reshard_s
+                $reason, world_before, world, plan.spec, resumed_step, blackout_s, reshard_s
             ));
             remaps.push(RemapEvent {
                 reason: $reason,
-                resumed_step: $step,
+                resumed_step,
                 world_before,
                 world_after: world,
                 spec: plan.spec,
@@ -421,30 +420,22 @@ pub fn remap_recoverable(
         }};
     }
 
-    // The initial step-0 checkpoint. A failure here has nothing
-    // committed to reshard from, so it surfaces instead of re-mapping
-    // (the caller can fall back to run_recoverable's rebuild-from-seeds
-    // path).
-    if let Err(e) = save_system_checkpoint(store, &sys, ctrl, 0) {
-        stats.record_failure();
-        return Err(CoreError::Worker(format!(
-            "rank lost before the initial checkpoint committed; nothing to reshard from: {e}"
-        )));
-    }
-    let mut t_ckpt = store.commit_time(0).unwrap_or_else(|| ctrl.clock());
-
-    while (iteration as usize) < rc.iterations {
-        // Window end: the next checkpoint boundary, capped by the run
-        // length and by the next planned shift.
-        let ce = rc.checkpoint_every as u64;
-        let mut end = ((iteration / ce) + 1) * ce;
-        end = end.min(rc.iterations as u64);
+    while !initialized || (iteration as usize) < cfg.iterations {
+        // Window end: step 0 until it commits; then the next checkpoint
+        // boundary, capped by the run length and by the next planned
+        // shift.
+        let ce = cfg.checkpoint_every as u64;
+        let mut end = if initialized { ((iteration / ce) + 1) * ce } else { 0 };
+        end = end.min(cfg.iterations as u64);
         if let Some(p) = planned.first() {
             if p.after_iteration > iteration {
                 end = end.min(p.after_iteration);
             }
         }
-        let outcome = run_window(&sys, ctrl, rc, cfg.driver, iteration, end).and_then(|sts| {
+        // A rank lost during the checkpoint write (the `save_shard`
+        // collective) recovers exactly like one lost mid-window: the
+        // partially written step is never committed.
+        let outcome = run_window(&sys, ctrl, cfg, iteration, end).and_then(|sts| {
             save_start = Some(ctrl.clock());
             save_system_checkpoint(store, &sys, ctrl, end)?;
             Ok(sts)
@@ -452,19 +443,22 @@ pub fn remap_recoverable(
         match outcome {
             Ok(sts) => {
                 save_start = None;
+                initialized = true;
                 iteration = end;
                 history.extend(sts);
-                t_ckpt = store
-                    .latest_step()
-                    .and_then(|s| store.commit_time(s))
-                    .unwrap_or_else(|| ctrl.clock());
+                // The committed instant as the marker recorded it — the
+                // anchor the next lost-work figure is measured against.
+                t_ckpt = store.commit_time(end).unwrap_or_else(|| ctrl.clock());
                 // Planned load shifts maturing at this boundary.
                 while planned.first().is_some_and(|p| p.after_iteration <= iteration) {
                     let p = planned.remove(0);
                     budget = budget.min(p.devices);
                     let reason =
                         format!("load shift to {} devices at iteration {iteration}", p.devices);
-                    sys = do_remap!(sys, reason, iteration);
+                    sys = do_remap!(sys, reason, Some(iteration));
+                    // Training resumes now: the shift's blackout is not
+                    // work a later fault could lose.
+                    t_ckpt = ctrl.clock();
                 }
             }
             Err(e) => {
@@ -473,13 +467,16 @@ pub fn remap_recoverable(
                     return Err(e);
                 }
                 recoveries += 1;
-                if recoveries > rc.max_recoveries {
+                if recoveries > cfg.max_recoveries {
                     return Err(CoreError::Worker(format!(
                         "gave up after {} recoveries: {e}",
-                        rc.max_recoveries
+                        cfg.max_recoveries
                     )));
                 }
-                // Checkpoint-window attribution, as in run_recoverable.
+                // Split the interval since the last commit: work before
+                // the interrupted checkpoint write began is discarded
+                // training; the write window itself is checkpoint
+                // overhead.
                 let at_fault = ctrl.clock();
                 let (train_end, ckpt_window) = match save_start.take() {
                     Some(s) => (s, at_fault - s),
@@ -487,24 +484,34 @@ pub fn remap_recoverable(
                 };
                 let lost = (train_end - t_ckpt).max(0.0);
                 stats.record_checkpoint_window(ckpt_window);
-                let step = store.latest_step().ok_or_else(|| {
-                    CoreError::Worker(format!("no committed checkpoint to re-map from: {e}"))
-                })?;
-                let reason = format!("rank loss at iteration {iteration}: {e}");
+                let step = store.latest_step();
+                let reason = match step {
+                    Some(_) => format!("rank loss at iteration {iteration}: {e}"),
+                    None => format!(
+                        "rank loss before the initial checkpoint committed, \
+                         rebuilt from seeds: {e}"
+                    ),
+                };
                 sys = do_remap!(sys, reason, step);
                 let blackout = remaps.last().map(|r| r.blackout_s).unwrap_or(0.0);
                 stats.record_recovery(blackout, lost);
                 telemetry.observe_digest("resilience.mttr_s", blackout);
-                history.truncate(step as usize);
-                iteration = step;
-                t_ckpt = store.commit_time(step).unwrap_or_else(|| ctrl.clock());
+                initialized = step.is_some();
+                iteration = step.unwrap_or(0);
+                history.truncate(iteration as usize);
+                // Work before the resume instant is already charged; a
+                // second fault before the next commit loses only what
+                // ran since.
+                t_ckpt = ctrl.clock();
             }
         }
     }
     stats.export(&telemetry);
-    let virtual_time_s = ctrl.clock();
-    Ok(RemapReport {
-        run: RecoveryReport { history, stats, log, virtual_time_s },
+    Ok(RecoveryReport {
+        history,
+        stats,
+        log,
+        virtual_time_s: ctrl.clock(),
         remaps,
         final_world: world,
     })

@@ -8,11 +8,8 @@
 
 use hf_core::{Controller, CoreError, Result};
 
-use crate::algo::{
-    grpo_iteration, ppo_iteration, remax_iteration, restore_checkpoint, safe_rlhf_iteration,
-    save_checkpoint, IterStats, RlhfSystem, SystemCheckpoint,
-};
-use crate::env::{make_pretrain, make_prompts};
+use crate::algo::{restore_checkpoint, save_checkpoint, IterStats, RlhfSystem, SystemCheckpoint};
+use crate::recover::run_iteration;
 
 /// Which algorithm the trainer drives each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,25 +102,9 @@ impl RlhfTrainer {
     /// schedule. On failure, rolls back to the last checkpoint (if any)
     /// before returning the error.
     pub fn step(&mut self, ctrl: &Controller) -> Result<IterStats> {
-        let rc = &self.sys.cfg;
         let seed = self.cfg.data_seed.wrapping_add(self.iteration);
-        let prompts =
-            make_prompts(self.cfg.batch, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, seed);
         let t0 = ctrl.clock();
-        let result = match self.cfg.algorithm {
-            Algorithm::Ppo => ppo_iteration(&self.sys, ctrl, &prompts),
-            Algorithm::ReMax => remax_iteration(&self.sys, ctrl, &prompts),
-            Algorithm::Grpo => grpo_iteration(&self.sys, ctrl, &prompts),
-            Algorithm::SafeRlhf => {
-                let pretrain = make_pretrain(
-                    self.cfg.batch,
-                    rc.prompt_len + rc.response_len,
-                    rc.lm.vocab as u32,
-                    seed,
-                );
-                safe_rlhf_iteration(&self.sys, ctrl, &prompts, &pretrain)
-            }
-        };
+        let result = run_iteration(&self.sys, ctrl, self.cfg.algorithm, self.cfg.batch, seed);
         match result {
             Ok(stats) => {
                 self.iteration += 1;

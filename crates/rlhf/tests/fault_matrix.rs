@@ -12,7 +12,9 @@ use std::time::Duration;
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan};
-use hf_rlhf::{run_recoverable, Algorithm, Placement, RecoveryConfig, RlhfConfig, RlhfSystem};
+use hf_rlhf::{
+    remap_recoverable, Algorithm, KeepLayout, Placement, RecoveryConfig, RecoveryReport, RlhfConfig,
+};
 use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
 use hf_telemetry::Telemetry;
 
@@ -40,6 +42,33 @@ fn with_watchdog<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
     }
 }
 
+fn faulted_ctrl(injector: std::sync::Arc<FaultInjector>) -> Controller {
+    Controller::with_faults(
+        ClusterSpec::a100_with_gpus(4),
+        CommCostModel::default(),
+        Telemetry::enabled(),
+        injector,
+    )
+}
+
+fn placement(critic: bool) -> Placement {
+    let spec = ParallelSpec::new(1, 2, 2);
+    let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
+    Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), critic, false)
+}
+
+/// Runs the recovery loop as a plain restart: every recovery respawns
+/// the same placement on the same devices.
+fn run_restarting(
+    ctrl: &Controller,
+    store: &CheckpointStore,
+    cfg: &RecoveryConfig,
+    placement: Placement,
+    rlhf: RlhfConfig,
+) -> hf_core::Result<RecoveryReport> {
+    remap_recoverable(ctrl, store, cfg, &placement, rlhf, &mut KeepLayout(placement.clone()))
+}
+
 fn run_seed(seed: u64) {
     let plan = FaultPlan::seeded_kill(
         seed,
@@ -52,26 +81,9 @@ fn run_seed(seed: u64) {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::new(dir).unwrap();
     let cfg = RecoveryConfig { iterations: 2, checkpoint_every: 1, batch: 8, ..Default::default() };
-    let inj = injector.clone();
-    let report = run_recoverable(&store, &cfg, move |_epoch| {
-        let ctrl = Controller::with_faults(
-            ClusterSpec::a100_with_gpus(4),
-            CommCostModel::default(),
-            Telemetry::enabled(),
-            inj.clone(),
-        );
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-        let placement = Placement::colocated(
-            ResourcePool::contiguous(0, 4),
-            WorkerLayout::with_gen(gen),
-            true,
-            false,
-        );
-        let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny())?;
-        Ok((ctrl, sys))
-    })
-    .unwrap_or_else(|e| panic!("seed {seed} ({plan:?}) did not complete: {e}"));
+    let ctrl = faulted_ctrl(injector.clone());
+    let report = run_restarting(&ctrl, &store, &cfg, placement(true), RlhfConfig::tiny())
+        .unwrap_or_else(|e| panic!("seed {seed} ({plan:?}) did not complete: {e}"));
 
     assert_eq!(report.history.len(), 2, "seed {seed}: all iterations must complete");
     if injector.fired_count() > 0 {
@@ -127,26 +139,9 @@ fn checkpoint_window_fault_is_not_charged_as_lost_work() {
         let store = CheckpointStore::new(dir).unwrap();
         let cfg =
             RecoveryConfig { iterations: 2, checkpoint_every: 1, batch: 8, ..Default::default() };
-        let inj = injector.clone();
-        let report = run_recoverable(&store, &cfg, move |_epoch| {
-            let ctrl = Controller::with_faults(
-                ClusterSpec::a100_with_gpus(4),
-                CommCostModel::default(),
-                Telemetry::enabled(),
-                inj.clone(),
-            );
-            let spec = ParallelSpec::new(1, 2, 2);
-            let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-            let placement = Placement::colocated(
-                ResourcePool::contiguous(0, 4),
-                WorkerLayout::with_gen(gen),
-                true,
-                false,
-            );
-            let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny())?;
-            Ok((ctrl, sys))
-        })
-        .expect("run completes after recovery");
+        let ctrl = faulted_ctrl(injector.clone());
+        let report = run_restarting(&ctrl, &store, &cfg, placement(true), RlhfConfig::tiny())
+            .expect("run completes after recovery");
 
         assert_eq!(injector.fired_count(), 1, "the step-1 save kill must fire");
         assert_eq!(report.stats.recoveries, 1);
@@ -181,7 +176,7 @@ const REWARD_EVAL_SEED: u64 = 7;
 fn run_grpo_verifier(
     tag: &str,
     injector: Option<std::sync::Arc<FaultInjector>>,
-) -> (hf_rlhf::RecoveryReport, hf_resilience::AssembledState) {
+) -> (RecoveryReport, hf_resilience::AssembledState) {
     let dir =
         std::env::temp_dir().join(format!("hf-fault-matrix-reward-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -193,28 +188,12 @@ fn run_grpo_verifier(
         batch: 8,
         ..Default::default()
     };
-    let report = run_recoverable(&store, &cfg, move |_epoch| {
-        let ctrl = match &injector {
-            Some(inj) => Controller::with_faults(
-                ClusterSpec::a100_with_gpus(4),
-                CommCostModel::default(),
-                Telemetry::enabled(),
-                inj.clone(),
-            ),
-            None => Controller::new(ClusterSpec::a100_with_gpus(4)),
-        };
-        let spec = ParallelSpec::new(1, 2, 2);
-        let gen = GenGrouping::new(spec, 1, 1, GroupingMethod::Strided);
-        let placement = Placement::colocated(
-            ResourcePool::contiguous(0, 4),
-            WorkerLayout::with_gen(gen),
-            false,
-            false,
-        );
-        let sys = RlhfSystem::build(&ctrl, &placement, RlhfConfig::tiny_verifier())?;
-        Ok((ctrl, sys))
-    })
-    .unwrap_or_else(|e| panic!("reward-eval scenario ({tag}) did not complete: {e}"));
+    let ctrl = match injector {
+        Some(inj) => faulted_ctrl(inj),
+        None => Controller::new(ClusterSpec::a100_with_gpus(4)),
+    };
+    let report = run_restarting(&ctrl, &store, &cfg, placement(false), RlhfConfig::tiny_verifier())
+        .unwrap_or_else(|e| panic!("reward-eval scenario ({tag}) did not complete: {e}"));
     let final_actor = store.load_group(2, "actor").unwrap();
     (report, final_actor)
 }

@@ -1,8 +1,8 @@
 //! End-to-end fault recovery: a seeded [`FaultPlan`] kills an actor rank
 //! mid-PPO; the collective abort surfaces `PeerFailed` on every
-//! surviving rank (no deadlock — a watchdog enforces it), the outer loop
-//! respawns the system and restores the latest committed sharded
-//! checkpoint, and the run finishes with final actor parameters
+//! surviving rank (no deadlock — a watchdog enforces it), the recovery
+//! loop respawns the system in the same layout and restores the latest
+//! committed sharded checkpoint, and the run finishes with final actor parameters
 //! **bit-identical** to a fault-free run — the determinism claim that
 //! makes every failure scenario a reproducible test case.
 
@@ -13,7 +13,9 @@ use std::time::Duration;
 use hf_core::{Controller, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
-use hf_rlhf::{run_recoverable, Placement, RecoveryConfig, RlhfConfig, RlhfSystem};
+use hf_rlhf::{
+    remap_recoverable, KeepLayout, Placement, RecoveryConfig, RecoveryReport, RlhfConfig,
+};
 use hf_simcluster::{ClusterSpec, CommCostModel, ResourcePool};
 use hf_telemetry::Telemetry;
 
@@ -38,8 +40,8 @@ fn placement() -> Placement {
     Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
 }
 
-fn build_system(fault: Option<std::sync::Arc<FaultInjector>>) -> (Controller, RlhfSystem) {
-    let ctrl = match fault {
+fn build_ctrl(fault: Option<std::sync::Arc<FaultInjector>>) -> Controller {
+    match fault {
         Some(f) => Controller::with_faults(
             ClusterSpec::a100_with_gpus(4),
             CommCostModel::default(),
@@ -47,9 +49,21 @@ fn build_system(fault: Option<std::sync::Arc<FaultInjector>>) -> (Controller, Rl
             f,
         ),
         None => Controller::new(ClusterSpec::a100_with_gpus(4)),
-    };
-    let sys = RlhfSystem::build(&ctrl, &placement(), RlhfConfig::tiny()).unwrap();
-    (ctrl, sys)
+    }
+}
+
+/// Runs the recovery loop as a plain restart: every recovery respawns
+/// the same placement on the same devices.
+fn run_restarting(store: &CheckpointStore, ctrl: &Controller) -> RecoveryReport {
+    remap_recoverable(
+        ctrl,
+        store,
+        &recovery_cfg(),
+        &placement(),
+        RlhfConfig::tiny(),
+        &mut KeepLayout(placement()),
+    )
+    .unwrap()
 }
 
 fn tmp_store(tag: &str) -> CheckpointStore {
@@ -68,28 +82,21 @@ fn killed_rank_recovers_to_a_bit_identical_run() {
         // Fault-free baseline: the final committed checkpoint is the
         // ground-truth end state.
         let baseline_store = tmp_store("baseline");
-        let report =
-            run_recoverable(&baseline_store, &recovery_cfg(), |_epoch| Ok(build_system(None)))
-                .unwrap();
+        let report = run_restarting(&baseline_store, &build_ctrl(None));
         assert_eq!(report.history.len(), 3);
         assert_eq!(report.stats.failures, 0);
         let baseline = baseline_store.load_group(3, "actor").unwrap();
 
         // Faulted run: kill actor rank 2 on its 3rd `update_actor`
         // dispatch — mid-iteration 2, after step-1 committed. The
-        // injector is shared across rebuilds, so the one-shot kill does
-        // not re-fire in the recovered epoch.
+        // one-shot kill does not re-fire after the respawn.
         let injector = FaultInjector::new(FaultPlan::new().kill_rank(
             "actor",
             2,
             FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 },
         ));
         let faulted_store = tmp_store("faulted");
-        let inj = injector.clone();
-        let report = run_recoverable(&faulted_store, &recovery_cfg(), move |_epoch| {
-            Ok(build_system(Some(inj.clone())))
-        })
-        .unwrap();
+        let report = run_restarting(&faulted_store, &build_ctrl(Some(injector.clone())));
 
         assert_eq!(injector.fired_count(), 1, "the planned kill must fire: {:?}", injector.log());
         assert_eq!(report.stats.failures, 1);
@@ -116,11 +123,7 @@ fn killed_critic_rank_recovers_too() {
             FaultTrigger::OnCall { method: "update_critic".into(), nth: 2 },
         ));
         let store = tmp_store("critic");
-        let inj = injector.clone();
-        let report = run_recoverable(&store, &recovery_cfg(), move |_epoch| {
-            Ok(build_system(Some(inj.clone())))
-        })
-        .unwrap();
+        let report = run_restarting(&store, &build_ctrl(Some(injector.clone())));
         assert_eq!(injector.fired_count(), 1);
         assert_eq!(report.stats.recoveries, 1);
         assert_eq!(report.history.len(), 3);

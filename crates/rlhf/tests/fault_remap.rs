@@ -13,8 +13,8 @@ use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
-    remap_recoverable, MapperPlanner, Placement, PlannedRemap, RecoveryConfig, RemapConfig,
-    RemapDriver, RemapReport, RlhfConfig, RlhfSystem,
+    remap_recoverable, KeepLayout, MapperPlanner, Placement, PlannedRemap, RecoveryConfig,
+    RecoveryReport, RemapDriver, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hf_telemetry::Telemetry;
@@ -46,14 +46,11 @@ fn initial_placement() -> Placement {
     Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
 }
 
-fn remap_cfg(driver: RemapDriver) -> RemapConfig {
-    RemapConfig {
-        recovery: RecoveryConfig {
-            iterations: 4,
-            checkpoint_every: 1,
-            batch: 8,
-            ..Default::default()
-        },
+fn remap_cfg(driver: RemapDriver) -> RecoveryConfig {
+    RecoveryConfig {
+        iterations: 4,
+        checkpoint_every: 1,
+        batch: 8,
         driver,
         allowed: Some((0..4).map(DeviceId).collect()),
         min_world: 1,
@@ -63,7 +60,15 @@ fn remap_cfg(driver: RemapDriver) -> RemapConfig {
 
 /// Runs the elastic loop with actor rank 1 killed on its 3rd
 /// `update_actor` dispatch (mid-iteration 2, after step 1 committed).
-fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RemapReport {
+fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RecoveryReport {
+    run_killed_on_ctrl(store, driver).0
+}
+
+/// [`run_killed`], also returning the controller it ran on.
+fn run_killed_on_ctrl(
+    store: &CheckpointStore,
+    driver: RemapDriver,
+) -> (RecoveryReport, Controller) {
     let plan = FaultPlan::new().kill_rank(
         "actor",
         1,
@@ -88,7 +93,7 @@ fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RemapReport {
     )
     .expect("elastic run completes after the re-map");
     assert_eq!(injector.fired_count(), 1, "the kill must fire");
-    report
+    (report, ctrl)
 }
 
 #[test]
@@ -97,9 +102,9 @@ fn kill_then_remap_continues_on_survivors() {
         let store = fresh_store("continue");
         let report = run_killed(&store, RemapDriver::Barrier);
 
-        assert_eq!(report.run.history.len(), 4, "all iterations complete");
-        assert_eq!(report.run.stats.recoveries, 1);
-        assert_eq!(report.remaps.len(), 1, "{:?}", report.run.log);
+        assert_eq!(report.history.len(), 4, "all iterations complete");
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
         let ev = &report.remaps[0];
         assert_eq!(ev.world_before, 4);
         assert_eq!(ev.world_after, 3, "device 1 died; survivors are 0,2,3");
@@ -182,8 +187,8 @@ fn pipelined_remap_driver_matches_barrier_bits() {
         let pcfg = hf_rlhf::PipelineConfig { staleness: 0, gen_chunks: 2 };
         let report_p = run_killed(&store_p, RemapDriver::Pipelined(pcfg));
 
-        assert_eq!(report_p.run.history.len(), 4);
-        assert_eq!(report_p.remaps.len(), 1, "{:?}", report_p.run.log);
+        assert_eq!(report_p.history.len(), 4);
+        assert_eq!(report_p.remaps.len(), 1, "{:?}", report_p.log);
         assert_eq!(report_b.remaps[0].spec, report_p.remaps[0].spec);
         assert_eq!(
             store_b.load_group(4, "actor").unwrap(),
@@ -218,9 +223,9 @@ fn planned_load_shift_remaps_at_the_boundary() {
         )
         .expect("load-shift run completes");
 
-        assert_eq!(report.run.history.len(), 4);
-        assert_eq!(report.run.stats.failures, 0, "no fault was injected");
-        assert_eq!(report.remaps.len(), 1, "{:?}", report.run.log);
+        assert_eq!(report.history.len(), 4);
+        assert_eq!(report.stats.failures, 0, "no fault was injected");
+        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
         let ev = &report.remaps[0];
         assert_eq!(ev.world_before, 4);
         assert_eq!(ev.world_after, 2);
@@ -228,5 +233,130 @@ fn planned_load_shift_remaps_at_the_boundary() {
         assert_eq!(report.final_world, 2);
         assert!(ctrl.telemetry().counter("remap.events") >= 1);
         store.load_group(4, "actor").unwrap();
+    });
+}
+
+/// Time conservation across a double fault. Two kills land before the
+/// next commit (checkpoint every 4 iterations): actor rank 2 on its
+/// 3rd `update_actor`, then — after the restart respawned the same
+/// layout and reset call counts — critic rank 1 on its 5th
+/// `update_critic`. Every virtual second of the faulted run must be
+/// accounted exactly once: kept iterations, the fault-free twin's
+/// checkpoint writes, MTTR, lost work, and interrupted-write windows.
+/// Anchoring the second fault's lost work at the last commit instead
+/// of at the resume instant charges the first fault's work twice.
+#[test]
+fn double_fault_charges_lost_work_once() {
+    with_watchdog(300, || {
+        let cfg =
+            RecoveryConfig { iterations: 4, checkpoint_every: 4, batch: 8, ..Default::default() };
+        let run = |tag: &str, ctrl: &Controller| {
+            let store = fresh_store(tag);
+            remap_recoverable(
+                ctrl,
+                &store,
+                &cfg,
+                &initial_placement(),
+                RlhfConfig::tiny(),
+                &mut KeepLayout(initial_placement()),
+            )
+            .expect("run completes")
+        };
+        let twin = run("double-twin", &Controller::new(ClusterSpec::a100_with_gpus(4)));
+        let plan = FaultPlan::new()
+            .kill_rank("actor", 2, FaultTrigger::OnCall { method: "update_actor".into(), nth: 3 })
+            .kill_rank(
+                "critic",
+                1,
+                FaultTrigger::OnCall { method: "update_critic".into(), nth: 5 },
+            );
+        let injector = FaultInjector::new(plan);
+        let ctrl = Controller::with_faults(
+            ClusterSpec::a100_with_gpus(4),
+            CommCostModel::default(),
+            Telemetry::enabled(),
+            injector.clone(),
+        );
+        let faulted = run("double-faulted", &ctrl);
+        assert_eq!(injector.fired_count(), 2, "both kills must fire: {:?}", injector.log());
+        assert_eq!(faulted.stats.recoveries, 2);
+        assert_eq!(faulted.history.len(), 4);
+
+        let iter_sum =
+            |r: &RecoveryReport| r.history.iter().map(|s| s.virtual_seconds).sum::<f64>();
+        let ckpt_write_s = twin.virtual_time_s - iter_sum(&twin);
+        let accounted = iter_sum(&faulted)
+            + ckpt_write_s
+            + faulted.stats.mttr_s.iter().sum::<f64>()
+            + faulted.stats.virtual_time_lost
+            + faulted.stats.checkpoint_window_lost_s;
+        assert!(
+            (faulted.virtual_time_s - accounted).abs() < 1e-9,
+            "faulted run took {} s but {accounted} s is accounted ({:?})",
+            faulted.virtual_time_s,
+            faulted.stats
+        );
+    });
+}
+
+/// A rank lost during the step-0 checkpoint has nothing committed to
+/// restore: the elastic loop re-places onto the survivors, rebuilds
+/// the initial state from seeds, and re-saves step 0.
+#[test]
+fn step0_fault_rebuilds_from_seeds_on_survivors() {
+    with_watchdog(300, || {
+        let store = fresh_store("step0");
+        let injector = FaultInjector::new(FaultPlan::new().kill_rank(
+            "actor",
+            1,
+            FaultTrigger::OnCall { method: "save_shard".into(), nth: 1 },
+        ));
+        let ctrl = Controller::with_faults(
+            ClusterSpec::a100_with_gpus(4),
+            CommCostModel::default(),
+            Telemetry::enabled(),
+            injector.clone(),
+        );
+        let report = remap_recoverable(
+            &ctrl,
+            &store,
+            &remap_cfg(RemapDriver::Barrier),
+            &initial_placement(),
+            RlhfConfig::tiny(),
+            &mut MapperPlanner::toy(4),
+        )
+        .expect("a step-0 fault is recovered by rebuilding from seeds");
+
+        assert_eq!(injector.fired_count(), 1, "the step-0 save kill must fire");
+        assert_eq!(report.stats.recoveries, 1);
+        assert_eq!(report.history.len(), 4, "all iterations complete");
+        assert_eq!(report.remaps.len(), 1, "{:?}", report.log);
+        assert_eq!(report.remaps[0].resumed_step, 0);
+        assert_eq!(report.final_world, 3, "device 1 died; survivors are 0,2,3");
+        let final_actor = store.load_group(4, "actor").unwrap();
+        assert!(final_actor.opt_t > 0);
+    });
+}
+
+/// Telemetry is a deterministic artefact: two identical kill→remap runs
+/// must record identical `remap.*` and `resilience.*` digests and
+/// gauges. (Mapping-search wall time lives only on `RemapEvent` and
+/// `RecoveryStats`.)
+#[test]
+fn remap_telemetry_is_identical_across_reruns() {
+    with_watchdog(300, || {
+        let recovery_metrics = |tag: &str| {
+            let (_, ctrl) = run_killed_on_ctrl(&fresh_store(tag), RemapDriver::Barrier);
+            let m = ctrl.telemetry().metrics();
+            let ours = |k: &String| k.starts_with("remap.") || k.starts_with("resilience.");
+            let digests: Vec<_> = m.digests.into_iter().filter(|(k, _)| ours(k)).collect();
+            let gauges: Vec<_> = m.gauges.into_iter().filter(|(k, _)| ours(k)).collect();
+            (digests, gauges)
+        };
+        let (d1, g1) = recovery_metrics("telemetry-a");
+        let (d2, g2) = recovery_metrics("telemetry-b");
+        assert!(d1.iter().any(|(k, _)| k == "remap.blackout_s"), "{d1:?}");
+        assert_eq!(d1, d2, "remap/resilience digests must not depend on host time");
+        assert_eq!(g1, g2, "remap/resilience gauges must not depend on host time");
     });
 }

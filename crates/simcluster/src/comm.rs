@@ -148,7 +148,9 @@ impl CommGroup {
     pub fn exchange<T: Clone + Send + Sync + 'static>(&self, rank: usize, value: T) -> Arc<Vec<T>> {
         fn abort_if_poisoned(st: &RoundState) {
             if let Some(r) = &st.poisoned {
-                std::panic::panic_any(CollectiveAbort { reason: r.to_string() });
+                // An expected unwind, not a bug: skip the panic hook
+                // (and its backtrace) that `panic_any` would run.
+                std::panic::resume_unwind(Box::new(CollectiveAbort { reason: r.to_string() }));
             }
         }
         let inner = &*self.inner;
