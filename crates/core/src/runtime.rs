@@ -1074,17 +1074,6 @@ impl DpFuture {
         self.wait_impl(Some(deadline))
     }
 
-    /// Non-blocking completion probe: `true` once every rank's reply is
-    /// queued, so a following [`DpFuture::wait`] returns without
-    /// blocking. Never consumes replies, never advances any virtual
-    /// clock, and records nothing — probing is invisible to simulated
-    /// timing, so schedulers may poll it freely without perturbing
-    /// determinism. `false` is always safe: it only means at least one
-    /// rank has not replied *yet*.
-    pub fn try_ready(&self) -> bool {
-        self.replies.iter().all(|rx| !rx.is_empty())
-    }
-
     /// Re-wraps a rank's error with call context, preserving the variant
     /// so callers can still classify it (transient? peer failure?).
     fn contextualize(&self, rank: usize, e: CoreError) -> CoreError {
@@ -1547,36 +1536,6 @@ mod tests {
         assert!(matches!(err, Err(CoreError::Timeout(_))), "{err:?}");
         // The worker eventually finishes; the device keeps serving.
         assert!(g.call_sync("ok", &DataProto::empty(), Protocol::OneToAll).is_ok());
-    }
-
-    #[test]
-    fn try_ready_probes_without_blocking_or_consuming() {
-        let ctrl = controller(1);
-        let layout = WorkerLayout::train_only(ParallelSpec::new(1, 1, 1));
-        let g = ctrl
-            .spawn_group("sleepy", &ResourcePool::contiguous(0, 1), layout, |_r| {
-                Box::new(|m: &str, d: DataProto, _c: &mut RankCtx| {
-                    if m == "slow" {
-                        // Wall-clock delay so the controller observably
-                        // sees "not ready yet" before the reply lands.
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    Ok(d)
-                })
-            })
-            .unwrap();
-        let fut = g.call("slow", &batch(2), Protocol::Dp).unwrap();
-        assert!(!fut.try_ready(), "reply cannot be queued before the worker ran");
-        // Poll until the reply lands, then wait() must return instantly
-        // with the full output — the probe consumed nothing.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while !fut.try_ready() {
-            assert!(std::time::Instant::now() < deadline, "worker never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(fut.try_ready(), "readiness is sticky until collected");
-        let out = fut.wait().unwrap();
-        assert_eq!(out.f32("v").unwrap().0, batch(2).f32("v").unwrap().0);
     }
 
     #[test]

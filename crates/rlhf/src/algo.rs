@@ -11,7 +11,8 @@ use hf_nn::LmConfig;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
 use hf_simcluster::ResourcePool;
 
-use crate::stage::{run_stages, GrpoStages, PpoStages, RemaxStages, SafeRlhfStages};
+use crate::pipeline::barrier_iteration;
+use crate::trainer::Algorithm;
 use crate::verifier::RewardEvaluatorWorker;
 use crate::workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,
@@ -337,12 +338,12 @@ pub struct IterStats {
     /// Controller virtual time consumed by the iteration (seconds).
     pub virtual_seconds: f64,
     /// How many iterations behind the policy that generated this batch
-    /// was when training consumed it: 0 for the synchronous drivers and
-    /// pipelined staleness-0 mode, ≥1 for one-step-off-policy execution.
+    /// was when training consumed it: 0 for the barrier and every
+    /// staleness-0 schedule, ≥1 for one-step-off-policy execution.
     pub staleness: u32,
     /// Measured fraction of the iteration's wall time during which at
     /// least two of generation / preparation / training ran concurrently
-    /// (0 in the synchronous drivers, which are barrier sequences by
+    /// (0 under the barrier schedule, a barrier sequence by
     /// construction).
     pub overlap_fraction: f64,
 }
@@ -366,7 +367,7 @@ pub fn ppo_iteration_captured(
     ctrl: &Controller,
     prompts: &DataProto,
 ) -> Result<(IterStats, DataProto)> {
-    run_stages(&PpoStages, sys, ctrl, prompts, None)
+    barrier_iteration(Algorithm::Ppo, sys, ctrl, prompts, None)
 }
 
 /// One Safe-RLHF iteration (Figure 6, with the cost model and the
@@ -378,7 +379,7 @@ pub fn safe_rlhf_iteration(
     prompts: &DataProto,
     pretrain: &DataProto,
 ) -> Result<IterStats> {
-    run_stages(&SafeRlhfStages, sys, ctrl, prompts, Some(pretrain)).map(|(stats, _)| stats)
+    barrier_iteration(Algorithm::SafeRlhf, sys, ctrl, prompts, Some(pretrain)).map(|(s, _)| s)
 }
 
 /// One ReMax iteration (Figure 6, right annotations): an extra greedy
@@ -389,7 +390,7 @@ pub fn remax_iteration(
     ctrl: &Controller,
     prompts: &DataProto,
 ) -> Result<IterStats> {
-    run_stages(&RemaxStages, sys, ctrl, prompts, None).map(|(stats, _)| stats)
+    barrier_iteration(Algorithm::ReMax, sys, ctrl, prompts, None).map(|(stats, _)| stats)
 }
 
 /// One GRPO iteration (§9, [70]): `grpo_group` samples per prompt,
@@ -399,5 +400,5 @@ pub fn grpo_iteration(
     ctrl: &Controller,
     prompts: &DataProto,
 ) -> Result<IterStats> {
-    run_stages(&GrpoStages, sys, ctrl, prompts, None).map(|(stats, _)| stats)
+    barrier_iteration(Algorithm::Grpo, sys, ctrl, prompts, None).map(|(stats, _)| stats)
 }

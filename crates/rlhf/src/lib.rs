@@ -16,13 +16,14 @@
 //! * [`algo`] — the single-controller algorithm scripts: PPO, ReMax,
 //!   Safe-RLHF, and GRPO, each a few lines of worker-group calls
 //!   mirroring Figure 6.
-//! * [`pipeline`] — [`pipeline::PipelinedPpo`]: the one-step-off-policy
-//!   pipelined driver. Generation chunks stream into preparation,
-//!   training runs one iteration behind with bounded staleness, and the
-//!   HybridEngine transition overlaps the previous train step's tail —
-//!   all on a static dispatch/wait schedule, so `staleness = 0` is
-//!   bit-identical to the synchronous driver and pinned `staleness = 1`
-//!   is bit-identical across executions.
+//! * [`pipeline`] — [`pipeline::StageDriver`]: the one stage driver for
+//!   every algorithm. The barrier is its staleness-0, one-chunk
+//!   configuration; overlapped schedules stream generation chunks into
+//!   preparation, run training one iteration behind with bounded
+//!   staleness, and overlap the HybridEngine transition with the
+//!   previous train step's tail — all on a static dispatch/wait
+//!   schedule, so `staleness = 0` is bit-identical to the barrier and
+//!   pinned `staleness = 1` is bit-identical across executions.
 //! * [`verifier`] — [`verifier::RewardEvaluatorWorker`]: programmatic
 //!   verifiable rewards (RLVR) answering `compute_reward` from the
 //!   `hf-rewards` sandbox pool — deterministic virtual-time budgets,
@@ -67,18 +68,18 @@ pub use algo::{
     safe_rlhf_iteration, save_checkpoint, IterStats, ModelPlacement, Placement, RewardSource,
     RlhfConfig, RlhfSystem, SystemCheckpoint,
 };
-pub use pipeline::{PipelineConfig, PipelinedPpo};
+pub use pipeline::{PipelineConfig, PipelinedPpo, StageDriver};
 pub use recover::{
     restore_system_checkpoint, save_system_checkpoint, RecoveryConfig, RecoveryReport,
 };
 pub use remap::{
     bridge_spec, remap_recoverable, KeepLayout, MapperPlanner, PlannedPlacement, PlannedRemap,
-    RemapDriver, RemapEvent, RemapPlanner,
+    RemapEvent, RemapPlanner,
 };
 pub use trainer::{Algorithm, RlhfTrainer, TrainerConfig};
 pub use verifier::RewardEvaluatorWorker;
 pub use workers::{
     ActorWorker, CriticWorker, ReferenceWorker, RewardKind, RewardWorker, WorkerHyper,
-    GEN_ROUND_META, PIPELINE_META,
+    PIPELINE_META,
 };
 pub use zero::{ZeroActorWorker, ZeroParamStore};

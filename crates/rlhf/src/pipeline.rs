@@ -1,52 +1,66 @@
-//! One-step-off-policy pipelined PPO: the stage DAG under an
-//! overlapped schedule (generation/training overlap, §6 discussion of
-//! async RLHF dataflow).
+//! The one stage driver: every algorithm's stage DAG (see `stage`) under
+//! a `(staleness, gen_chunks)` schedule — generation/training overlap
+//! for async RLHF dataflow (§6 discussion).
 //!
-//! The synchronous drivers in [`crate::algo`] are barrier sequences:
-//! generation → preparation → training, each stage waiting for the
-//! last. [`PipelinedPpo`] runs the same stage DAG one step off-policy:
+//! [`StageDriver`] runs generation → experience preparation → training
+//! for any [`Algorithm`]. The barrier schedule is the configuration
+//! [`PipelineConfig::BARRIER`] (staleness 0, one chunk): each stage waits
+//! for the last, every generation pass goes through `invoke_sync`'s
+//! transient retry, and the iteration emits one `Phase` span per stage.
+//! `ppo_iteration` and its siblings are one-line wrappers over it. Any
+//! other configuration is *overlapped*:
 //!
-//! 1. **Generation streams into preparation.** The prompt batch is
-//!    split into `gen_chunks` requests; as each chunk's sequences
-//!    finish, its critic/reference/reward forward passes are issued
-//!    immediately instead of waiting for the slowest chunk.
-//! 2. **Training runs one iteration behind.** The batch assembled at
-//!    step *i* is trained while step *i+1*'s generation executes; on
-//!    each device mailbox the micro-batch updates interleave with the
-//!    next round's generation, so critic updates overlap generation and
-//!    the actor's update tail overlaps the next dispatch window.
-//! 3. **The HybridEngine transition overlaps the train tail.** The
-//!    train→generation all-gather of the first chunk enters through
-//!    `to_generation_overlapped`, which charges only the portion of the
-//!    gather not already hidden behind the actor's queue wait.
+//! 1. **Generation streams into preparation.** Each generation pass is
+//!    split into `gen_chunks` requests; as each chunk's sequences finish,
+//!    its preparation forward passes are issued immediately instead of
+//!    waiting for the slowest chunk. The algorithm's finalizer runs once
+//!    on the concatenated batch, so advantages see the same rows as the
+//!    barrier (GAE works row by row and whitens once).
+//! 2. **Training runs `staleness` iterations behind.** At staleness 1 the
+//!    batch assembled at step *i* is trained while step *i+1*'s generation
+//!    executes: its update futures are issued behind the next round's
+//!    generation and held across the step boundary. At staleness 0
+//!    training stays in-step and micro-batch by micro-batch, exactly as
+//!    the barrier trains.
+//! 3. **The HybridEngine transition overlaps the train tail.** Generation
+//!    chunks carry [`PIPELINE_META`], so the train→generation all-gather
+//!    enters through `to_generation_overlapped`, which charges only the
+//!    portion of the gather not already hidden behind the actor's queue
+//!    wait.
 //!
 //! Determinism contract: every dispatch and wait follows a *static*
-//! schedule — wall-clock readiness ([`hf_core::DpFuture::try_ready`])
-//! only reorders controller-local math (per-chunk reward shaping + GAE
-//! ahead of the whiten barrier), never dispatches or clock advances.
-//! Hence pinned staleness ⇒ pinned bits: `staleness = 0` is
-//! bit-identical to [`crate::algo::ppo_iteration`], and `staleness = 1`
-//! is bit-identical across executions (the tier-1 determinism tests pin
+//! schedule, and the actor's checkpointed counter owns the generation
+//! round (a continuation chunk does not advance it). Hence pinned
+//! staleness ⇒ pinned bits: `staleness = 0` is bit-identical to the
+//! barrier for every algorithm and chunking, and `staleness = 1` is
+//! bit-identical across executions (the tier-1 determinism tests pin
 //! both).
 
-use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, ROW_OFFSET_META};
+use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup, ROW_OFFSET_META};
 
-use crate::advantage::{gae, shape_token_rewards, whiten};
-use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
-use crate::stage::{assemble_stats, mean_of, TrainTotals};
-use crate::workers::{GEN_ROUND_META, PIPELINE_META};
+use crate::algo::{IterStats, RlhfSystem};
+use crate::stage::{
+    assemble_stats, mean_of, phase_span, PrepInput, PrepRole, PrepSink, TrainMode, TrainTotals,
+};
+use crate::trainer::Algorithm;
+use crate::workers::PIPELINE_META;
 
-/// Pipelined-execution knobs.
+/// Stage-schedule knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// How many iterations behind generation training runs: `0` trains
     /// the freshly assembled batch in-step (bit-identical to the
-    /// synchronous driver), `1` is one-step-off-policy execution.
+    /// barrier), `1` is one-step-off-policy execution.
     pub staleness: u32,
-    /// How many generation requests the prompt batch is split into.
+    /// How many generation requests each generation pass is split into.
     /// Each chunk must still satisfy the actor protocol's divisibility
     /// (rows divisible by the DP/micro-DP fan-out).
     pub gen_chunks: usize,
+}
+
+impl PipelineConfig {
+    /// The barrier schedule: staleness 0, one generation chunk.
+    pub const BARRIER: PipelineConfig = PipelineConfig { staleness: 0, gen_chunks: 1 };
 }
 
 impl Default for PipelineConfig {
@@ -55,65 +69,111 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Micro-batch update futures in flight for one experience batch.
-struct InFlight {
-    /// Per micro-batch `(update_critic, update_actor)` futures, in
-    /// dispatch order.
-    futs: Vec<(DpFuture, DpFuture)>,
-    /// The batch being trained (returned to the caller with its stats).
-    batch: DataProto,
+/// A reply that is either already collected (a synchronous call through
+/// the controller's transient-retry policy) or still in flight.
+enum Reply {
+    Ready(DataProto),
+    Pending(DpFuture),
 }
 
-/// The pipelined PPO driver. Owns the one-step-off-policy state: the
-/// batch awaiting training and the update futures awaiting collection.
-pub struct PipelinedPpo {
+impl Reply {
+    /// Calls `method` synchronously (`sync`) or issues it as a future.
+    fn issue(group: &WorkerGroup, method: &str, data: &DataProto, sync: bool) -> Result<Reply> {
+        Ok(if sync {
+            Reply::Ready(group.invoke_sync(method, data)?)
+        } else {
+            Reply::Pending(group.invoke(method, data)?)
+        })
+    }
+
+    fn wait(self) -> Result<DataProto> {
+        match self {
+            Reply::Ready(d) => Ok(d),
+            Reply::Pending(f) => f.wait(),
+        }
+    }
+}
+
+/// One experience batch's training: per micro-batch the critic update
+/// (if the algorithm has a critic) and the actor update, folded into
+/// loss totals as they are collected.
+struct Training {
+    batch: DataProto,
+    issued: Vec<(Option<Reply>, Reply)>,
+    totals: TrainTotals,
+}
+
+impl Training {
+    /// Issues `batch`'s micro-batch updates under `mode`. In-step
+    /// training collects each micro-batch before issuing the next, and
+    /// an actor-only update goes through `invoke_sync`'s retry; deferred
+    /// training issues every update as a future and holds them. Critic +
+    /// actor updates are futures without retry either way (recovery
+    /// happens a level up).
+    fn issue(sys: &RlhfSystem, mode: TrainMode, batch: DataProto, in_step: bool) -> Result<Self> {
+        let mut t = Training { batch, issued: Vec::new(), totals: TrainTotals::default() };
+        for mb in t.batch.chunk(sys.cfg.updates) {
+            let critic = match mode {
+                TrainMode::CriticActor => {
+                    let (critic, _) = PrepRole::Critic.resolve(sys)?;
+                    Some(Reply::issue(critic, "update_critic", &mb, false)?)
+                }
+                TrainMode::ActorOnly => None,
+            };
+            let sync = in_step && critic.is_none();
+            let actor = Reply::issue(&sys.actor, "update_actor", &mb, sync)?;
+            t.issued.push((critic, actor));
+            if in_step {
+                t.collect()?;
+            }
+        }
+        Ok(t)
+    }
+
+    /// Waits every issued update in issue order, critic first.
+    fn collect(&mut self) -> Result<()> {
+        for (critic, actor) in self.issued.drain(..) {
+            if let Some(c) = critic {
+                self.totals.critic_loss += mean_of(&c.wait()?, "critic_loss");
+            }
+            self.totals.absorb_actor(&actor.wait()?);
+        }
+        Ok(())
+    }
+
+    /// Collects what is still in flight and assembles the batch's stats.
+    fn finish(mut self, updates: usize) -> Result<(IterStats, DataProto)> {
+        self.collect()?;
+        Ok((assemble_stats(&self.batch, &self.totals, updates), self.batch))
+    }
+}
+
+/// The stage driver. Owns the off-policy state of overlapped schedules:
+/// the batch awaiting training, the update futures awaiting collection,
+/// and the overlap bookkeeping.
+pub struct StageDriver {
+    algorithm: Algorithm,
     cfg: PipelineConfig,
-    /// Generation rounds issued (stamped into chunk meta so sampler
-    /// seeds match the synchronous driver's per-call counter).
-    round: u64,
     /// Batch assembled last step, awaiting its training dispatch.
     pending: Option<DataProto>,
     /// Training dispatched last step, awaiting collection — held across
     /// the next generation dispatch so the controller never blocks on
     /// the actor's update tail before re-filling its mailbox.
-    held: Option<InFlight>,
+    held: Option<Training>,
     /// Controller-timeline index up to which stage intervals were
     /// already folded into the overlap bookkeeping.
     cursor: usize,
     started: bool,
     run_start: f64,
-    gen_iv: Vec<(f64, f64)>,
-    prep_iv: Vec<(f64, f64)>,
-    train_iv: Vec<(f64, f64)>,
+    /// Awaited dispatch→completion intervals per stage class:
+    /// generation, preparation, training.
+    intervals: [Vec<(f64, f64)>; 3],
     overlap_emitted_us: u64,
 }
 
-/// Reward shaping + GAE for one chunk, *without* the whitening that
-/// needs the full batch. Row-for-row identical to the synchronous
-/// `compute_advantage_gae`, so concatenating chunk outputs in chunk
-/// order and whitening once reproduces its bits exactly.
-fn chunk_gae(batch: &DataProto, cfg: &RlhfConfig) -> Result<(Vec<f32>, Vec<f32>)> {
-    let rows = batch.rows();
-    let rw = cfg.response_len;
-    let (logp, _) = batch.f32("logp_old")?;
-    let (ref_logp, _) = batch.f32("ref_logp")?;
-    let (values, _) = batch.f32("values")?;
-    let (scores, _) = batch.f32("scores")?;
-    let mut advantages = Vec::with_capacity(rows * rw);
-    let mut returns = Vec::with_capacity(rows * rw);
-    for i in 0..rows {
-        let r = shape_token_rewards(
-            scores[i],
-            &logp[i * rw..(i + 1) * rw],
-            &ref_logp[i * rw..(i + 1) * rw],
-            cfg.kl_coef,
-        );
-        let (a, ret) = gae(&r, &values[i * rw..(i + 1) * rw], cfg.gamma, cfg.lam);
-        advantages.extend(a);
-        returns.extend(ret);
-    }
-    Ok((advantages, returns))
-}
+/// The stage driver under the name PPO callers use:
+/// [`StageDriver::new`] builds a PPO driver.
+pub type PipelinedPpo = StageDriver;
 
 /// Sorts intervals and merges overlapping/adjacent ones.
 fn merge_intervals(iv: &[(f64, f64)]) -> Vec<(f64, f64)> {
@@ -129,190 +189,218 @@ fn merge_intervals(iv: &[(f64, f64)]) -> Vec<(f64, f64)> {
     out
 }
 
-impl PipelinedPpo {
-    /// Creates the driver. `staleness` must be 0 or 1.
+/// One iteration of `algorithm` under [`PipelineConfig::BARRIER`],
+/// returning its stats and experience batch.
+pub(crate) fn barrier_iteration(
+    algorithm: Algorithm,
+    sys: &RlhfSystem,
+    ctrl: &Controller,
+    prompts: &DataProto,
+    pretrain: Option<&DataProto>,
+) -> Result<(IterStats, DataProto)> {
+    let mut driver = StageDriver::with_algorithm(algorithm, PipelineConfig::BARRIER);
+    let trained = driver.step_captured(sys, ctrl, prompts, pretrain)?;
+    Ok(trained.expect("staleness 0 trains in-step"))
+}
+
+impl StageDriver {
+    /// A PPO driver.
     ///
     /// # Panics
     ///
     /// Panics if `staleness > 1` or `gen_chunks == 0`.
     pub fn new(cfg: PipelineConfig) -> Self {
+        Self::with_algorithm(Algorithm::Ppo, cfg)
+    }
+
+    /// A driver for `algorithm`. `staleness` must be 0 or 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `staleness > 1` or `gen_chunks == 0`.
+    pub fn with_algorithm(algorithm: Algorithm, cfg: PipelineConfig) -> Self {
         assert!(cfg.staleness <= 1, "bounded staleness: only 0 or 1 supported");
         assert!(cfg.gen_chunks > 0, "gen_chunks must be positive");
-        PipelinedPpo {
+        StageDriver {
+            algorithm,
             cfg,
-            round: 0,
             pending: None,
             held: None,
             cursor: 0,
             started: false,
             run_start: 0.0,
-            gen_iv: Vec::new(),
-            prep_iv: Vec::new(),
-            train_iv: Vec::new(),
+            intervals: Default::default(),
             overlap_emitted_us: 0,
         }
     }
 
-    /// Creates the driver with its round counter pre-advanced to
-    /// `round`, so the first step stamps generation round `round + 1`.
-    /// Drivers stamp *absolute* rounds into each batch (the actor takes
-    /// its sampler round from the stamp); a caller running one driver
-    /// per checkpoint window — the elastic re-mapping loop — uses this
-    /// to continue the run's round sequence across windows instead of
-    /// restarting every window at round 1.
-    pub fn with_round(cfg: PipelineConfig, round: u64) -> Self {
-        let mut driver = Self::new(cfg);
-        driver.round = round;
-        driver
-    }
-
-    /// The driver's configuration.
-    pub fn config(&self) -> PipelineConfig {
-        self.cfg
-    }
-
-    /// Generation rounds issued so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
-    /// One pipelined step. Dispatches this round's generation, overlaps
-    /// it with the previous batch's training, streams finished chunks
+    /// One step. Dispatches this round's generation, overlaps it with the
+    /// previous batch's training (staleness 1), streams finished chunks
     /// into preparation, and returns the stats of whichever batch's
     /// training *completed* during this step: `None` while the pipeline
-    /// is still filling (the first `staleness + 1` calls at
-    /// `staleness = 1`), `Some` afterwards. Call [`PipelinedPpo::flush`]
-    /// after the last step to drain the in-flight work.
+    /// is still filling (the first call at `staleness = 1`), `Some`
+    /// afterwards. Call [`StageDriver::flush`] after the last step to
+    /// drain the in-flight work.
     pub fn step(
         &mut self,
         sys: &RlhfSystem,
         ctrl: &Controller,
         prompts: &DataProto,
     ) -> Result<Option<IterStats>> {
-        self.step_captured(sys, ctrl, prompts).map(|o| o.map(|(stats, _)| stats))
+        self.step_captured(sys, ctrl, prompts, None).map(|o| o.map(|(stats, _)| stats))
     }
 
-    /// [`PipelinedPpo::step`] that also returns the experience batch the
-    /// emitted stats describe (determinism tests fingerprint it).
+    /// [`StageDriver::step`] that also takes the pre-train batch
+    /// (Safe-RLHF; `None` for the other algorithms) and returns the
+    /// experience batch the emitted stats describe (the audit oracle and
+    /// the determinism tests fingerprint it).
     pub fn step_captured(
         &mut self,
         sys: &RlhfSystem,
         ctrl: &Controller,
         prompts: &DataProto,
+        pretrain: Option<&DataProto>,
     ) -> Result<Option<(IterStats, DataProto)>> {
-        let critic =
-            sys.critic.as_ref().ok_or_else(|| CoreError::Config("PPO requires a critic".into()))?;
-        if sys.cfg.recompute_logp {
-            return Err(CoreError::Config("pipelined PPO does not support recompute_logp".into()));
+        let algo = self.algorithm.stages();
+        let calls = algo.prep_calls();
+        let mode = algo.train_mode();
+        // Fail before issuing any work when a model the stages call is
+        // missing.
+        for call in &calls {
+            call.role.resolve(sys)?;
         }
-        if !self.started {
+        if mode == TrainMode::CriticActor {
+            PrepRole::Critic.resolve(sys)?;
+        }
+        if self.cfg.staleness > 0 && algo.recompute_logp(&sys.cfg) {
+            // Its forward pass would queue behind the deferred update.
+            return Err(CoreError::Config("recompute_logp requires staleness 0".into()));
+        }
+        let barrier = self.cfg == PipelineConfig::BARRIER;
+        if !barrier && !self.started {
             self.started = true;
             self.run_start = ctrl.clock();
             self.cursor = ctrl.timeline().len();
         }
-        let t_start = ctrl.clock();
-        self.round += 1;
+        let t0 = ctrl.clock();
+        // The barrier closes one `Phase` span per stage, each citing the
+        // last as its cause.
+        let mut phase = (t0, 0u64);
 
-        // Phase 1: dispatch this round's generation chunks.
-        let chunks = self.split_prompts(prompts);
-        let mut gen_futs = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            gen_futs.push(sys.actor.invoke("generate_sequences", c)?);
+        // Stage 1: dispatch every generation pass (the main one, then any
+        // auxiliary decode), pass by pass, each split into the same row
+        // chunks. The barrier calls each pass synchronously.
+        let main = algo.expand_prompts(&sys.cfg, prompts)?.unwrap_or_else(|| prompts.clone());
+        let mut passes = vec![main];
+        passes.extend(algo.aux_gen_inputs(prompts));
+        let n = self.cfg.gen_chunks.min(passes[0].rows().max(1));
+        let mut gens = Vec::with_capacity(passes.len());
+        for pass in &passes {
+            let mut replies = Vec::with_capacity(n);
+            for chunk in self.split(pass, n) {
+                replies.push(Reply::issue(&sys.actor, "generate_sequences", &chunk, barrier)?);
+            }
+            gens.push(replies.into_iter());
         }
 
-        // Phase 2: one-step-off-policy — dispatch training for the
-        // batch assembled last step. Its micro-batches queue behind the
-        // generation calls just issued, so critic updates run
-        // concurrently with generation and the actor's update tail is
-        // what the *next* round's transition overlaps with.
-        let dispatched = match self.pending.take() {
-            Some(batch) => Some(self.dispatch_train(sys, batch)?),
+        // Staleness 1: dispatch training for the batch assembled last
+        // step. Its micro-batches queue behind the generation calls just
+        // issued, so critic updates run concurrently with generation and
+        // the actor's update tail is what the *next* round's transition
+        // overlaps with.
+        let deferred = match self.pending.take() {
+            Some(batch) => Some(Training::issue(sys, mode, batch, false)?),
             None => None,
         };
 
-        // Phase 3: stream finished chunks into preparation — wait each
-        // generation chunk in order (static schedule) and issue its
-        // forward passes the moment it lands.
-        struct ChunkState {
-            batch: DataProto,
-            futs: Option<Vec<DpFuture>>,
-            adv: Vec<f32>,
-            ret: Vec<f32>,
-        }
-        let mut states: Vec<ChunkState> = Vec::with_capacity(gen_futs.len());
-        for fut in gen_futs {
-            let cb = fut.wait()?;
-            let futs = vec![
-                critic.invoke("compute_values", &cb)?,
-                sys.reference.invoke("compute_ref_log_prob", &cb)?,
-                sys.reward.invoke("compute_reward", &cb)?,
-            ];
-            states.push(ChunkState {
-                batch: cb,
-                futs: Some(futs),
-                adv: Vec::new(),
-                ret: Vec::new(),
-            });
-        }
-
-        // Phase 4: collect preparation outputs. `try_ready` lets the
-        // controller run reward shaping + GAE for whichever chunk lands
-        // first while slower chunks are still in flight. Wait *order*
-        // among already-dispatched futures affects no clocks or bits
-        // (the controller clock is a max over finishes), so this
-        // opportunism is determinism-free.
-        let total = states.len();
-        let mut done = 0;
-        while done < total {
-            let g = states
-                .iter()
-                .position(|s| s.futs.as_ref().is_some_and(|fs| fs.iter().all(|f| f.try_ready())))
-                .or_else(|| states.iter().position(|s| s.futs.is_some()))
-                .expect("an unprocessed chunk remains");
-            let futs = states[g].futs.take().expect("position() only returns pending chunks");
-            for f in futs {
-                states[g].batch.union(f.wait()?)?;
+        // Stage 2: stream finished chunks into preparation — wait each
+        // chunk in order (static schedule) and issue its forward passes
+        // the moment it lands; then collect them in issue order.
+        let mut issued = Vec::with_capacity(n);
+        let mut row0 = vec![0usize; gens.len()];
+        for _ in 0..n {
+            let mut outs = Vec::with_capacity(gens.len());
+            for (pass, r0) in gens.iter_mut().zip(row0.iter_mut()) {
+                let mut out = pass.next().expect("one reply per chunk").wait()?;
+                if !barrier {
+                    // Global rows, so row-seeded rewards match the barrier.
+                    out.meta.insert(ROW_OFFSET_META.into(), r0.to_string());
+                }
+                *r0 += out.rows();
+                outs.push(out);
             }
-            let (adv, ret) = chunk_gae(&states[g].batch, &sys.cfg)?;
-            states[g].adv = adv;
-            states[g].ret = ret;
-            done += 1;
+            if algo.recompute_logp(&sys.cfg) {
+                // Optional Table 4 pass: recompute log-probs under the
+                // training engine's numerics and use them as the PPO old
+                // log-probs.
+                let lp = sys.actor.invoke_sync("compute_log_prob", &outs[0])?;
+                let (cur, w) = lp.f32("cur_logp")?;
+                let cur = cur.to_vec();
+                outs[0].insert_f32("logp_old", cur, w);
+            }
+            if barrier {
+                phase = phase_span(ctrl, "generation", phase.0, phase.1);
+            }
+            let mut futs = Vec::with_capacity(calls.len());
+            for call in &calls {
+                let (group, method) = call.role.resolve(sys)?;
+                let input = match call.input {
+                    PrepInput::Batch => &outs[0],
+                    PrepInput::Aux(i) => &outs[i + 1],
+                };
+                futs.push((group.invoke(method, input)?, call.sink));
+            }
+            issued.push((outs.swap_remove(0), futs));
         }
-
-        // Phase 5: assemble the full batch; whitening is the one true
-        // barrier (it needs every advantage).
-        let parts: Vec<DataProto> = states.iter().map(|s| s.batch.clone()).collect();
+        let mut parts = Vec::with_capacity(n);
+        let mut sides: Vec<Vec<DataProto>> = Vec::with_capacity(n);
+        for (mut part, futs) in issued {
+            let mut side = Vec::new();
+            for (fut, sink) in futs {
+                match sink {
+                    PrepSink::Union => {
+                        part.union(fut.wait()?)?;
+                    }
+                    PrepSink::Side => side.push(fut.wait()?),
+                }
+            }
+            parts.push(part);
+            sides.push(side);
+        }
         let mut batch = DataProto::concat(&parts)?;
-        let rw = sys.cfg.response_len;
-        let mut advantages = Vec::with_capacity(batch.rows() * rw);
-        let mut returns = Vec::with_capacity(batch.rows() * rw);
-        for s in &states {
-            advantages.extend_from_slice(&s.adv);
-            returns.extend_from_slice(&s.ret);
-        }
-        whiten(&mut advantages);
-        batch.insert_f32("advantages", advantages, rw);
-        batch.insert_f32("returns", returns, rw);
-        for key in [PIPELINE_META, GEN_ROUND_META, ROW_OFFSET_META] {
+        for key in [PIPELINE_META, ROW_OFFSET_META] {
             batch.meta.remove(key);
         }
+        let side_count = sides.first().map_or(0, Vec::len);
+        let side = (0..side_count)
+            .map(|k| DataProto::concat(&sides.iter().map(|s| s[k].clone()).collect::<Vec<_>>()))
+            .collect::<Result<Vec<_>>>()?;
+        algo.finalize(&sys.cfg, &mut batch, &side)?;
+        if barrier {
+            phase = phase_span(ctrl, "experience_preparation", phase.0, phase.1);
+        }
+        algo.pre_train(&sys.cfg, &mut batch, pretrain)?;
 
-        // Phase 6: resolve whichever training completes this step.
+        // Stage 3: resolve whichever training completes this step.
+        let updates = sys.cfg.updates;
         let result = if self.cfg.staleness == 0 {
-            debug_assert!(dispatched.is_none(), "staleness 0 never defers training");
-            let inflight = self.dispatch_train(sys, batch)?;
-            Some(self.wait_train(sys, inflight)?)
+            debug_assert!(deferred.is_none(), "staleness 0 never defers training");
+            Some(Training::issue(sys, mode, batch, true)?.finish(updates)?)
         } else {
-            let prev = std::mem::replace(&mut self.held, dispatched);
+            let prev = std::mem::replace(&mut self.held, deferred);
             self.pending = Some(batch);
-            match prev {
-                Some(h) => Some(self.wait_train(sys, h)?),
-                None => None,
-            }
+            prev.map(|t| t.finish(updates)).transpose()?
         };
+        if barrier {
+            phase_span(ctrl, "training", phase.0, phase.1);
+            return Ok(result.map(|(mut stats, batch)| {
+                stats.virtual_seconds = ctrl.clock() - t0;
+                (stats, batch)
+            }));
+        }
 
-        // Phase 7: measured overlap, telemetry, stats finalization.
-        Ok(self.finalize(ctrl, t_start, result))
+        // Measured overlap, telemetry, stats finalization.
+        Ok(self.record_step(ctrl, t0, result))
     }
 
     /// Drains the pipeline: collects the held update futures, then
@@ -320,73 +408,44 @@ impl PipelinedPpo {
     /// completion order (0–2 entries depending on staleness and how
     /// many steps ran).
     pub fn flush(&mut self, sys: &RlhfSystem, ctrl: &Controller) -> Result<Vec<IterStats>> {
+        let updates = sys.cfg.updates;
         let mut out = Vec::new();
-        if let Some(h) = self.held.take() {
+        if let Some(t) = self.held.take() {
             let t0 = ctrl.clock();
-            let r = self.wait_train(sys, h)?;
-            if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
-                out.push(stats);
-            }
+            let r = t.finish(updates)?;
+            out.extend(self.record_step(ctrl, t0, Some(r)).map(|(stats, _)| stats));
         }
         if let Some(b) = self.pending.take() {
             let t0 = ctrl.clock();
-            let inflight = self.dispatch_train(sys, b)?;
-            let r = self.wait_train(sys, inflight)?;
-            if let Some((stats, _)) = self.finalize(ctrl, t0, Some(r)) {
-                out.push(stats);
-            }
+            let mode = self.algorithm.stages().train_mode();
+            let r = Training::issue(sys, mode, b, false)?.finish(updates)?;
+            out.extend(self.record_step(ctrl, t0, Some(r)).map(|(stats, _)| stats));
         }
         Ok(out)
     }
 
-    /// Splits the prompt batch into generation chunks, stamping each
-    /// with its global row offset (so sampler seeds are
-    /// chunking-invariant), the pinned generation round, and the
-    /// pipelined-mode flag.
-    fn split_prompts(&self, prompts: &DataProto) -> Vec<DataProto> {
-        let n = self.cfg.gen_chunks.min(prompts.rows().max(1));
-        let mut chunks = prompts.chunk(n);
-        let mut row0 = 0usize;
-        for c in chunks.iter_mut() {
-            c.meta.insert(ROW_OFFSET_META.into(), row0.to_string());
-            c.meta.insert(GEN_ROUND_META.into(), self.round.to_string());
-            c.meta.insert(PIPELINE_META.into(), "1".into());
-            row0 += c.rows();
+    /// Splits one generation pass into `n` chunks. Overlapped schedules
+    /// stamp each with its global row offset (so sampler seeds are
+    /// chunking-invariant) and with [`PIPELINE_META`] valued the same
+    /// offset (the overlap-aware transition, and the actor's cue that a
+    /// chunk past row 0 continues the round chunk 0 opened).
+    fn split(&self, pass: &DataProto, n: usize) -> Vec<DataProto> {
+        let mut chunks = pass.chunk(n);
+        if self.cfg != PipelineConfig::BARRIER {
+            let mut row0 = 0usize;
+            for c in chunks.iter_mut() {
+                c.meta.insert(ROW_OFFSET_META.into(), row0.to_string());
+                c.meta.insert(PIPELINE_META.into(), row0.to_string());
+                row0 += c.rows();
+            }
         }
         chunks
-    }
-
-    /// Dispatches every micro-batch's critic + actor update as futures
-    /// (same per-device order as the synchronous driver) without
-    /// waiting any of them.
-    fn dispatch_train(&self, sys: &RlhfSystem, batch: DataProto) -> Result<InFlight> {
-        let critic =
-            sys.critic.as_ref().ok_or_else(|| CoreError::Config("PPO requires a critic".into()))?;
-        let mut futs = Vec::with_capacity(sys.cfg.updates);
-        for mb in batch.chunk(sys.cfg.updates) {
-            let f_c = critic.invoke("update_critic", &mb)?;
-            let f_a = sys.actor.invoke("update_actor", &mb)?;
-            futs.push((f_c, f_a));
-        }
-        Ok(InFlight { futs, batch })
-    }
-
-    /// Collects the update futures in dispatch order and assembles the
-    /// batch's stats (timing fields are filled by the caller).
-    fn wait_train(&self, sys: &RlhfSystem, inflight: InFlight) -> Result<(IterStats, DataProto)> {
-        let mut totals = TrainTotals::default();
-        for (f_c, f_a) in inflight.futs {
-            totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
-            totals.absorb_actor(&f_a.wait()?);
-        }
-        let stats = assemble_stats(&inflight.batch, &totals, sys.cfg.updates, 0.0);
-        Ok((stats, inflight.batch))
     }
 
     /// Folds the step's timeline entries into the overlap bookkeeping,
     /// emits the pipeline telemetry, and stamps the emitted stats with
     /// the step's wall time, staleness, and measured overlap fraction.
-    fn finalize(
+    fn record_step(
         &mut self,
         ctrl: &Controller,
         t_start: f64,
@@ -413,7 +472,6 @@ impl PipelinedPpo {
             id,
             &[],
             &[
-                ("round", self.round.to_string()),
                 ("staleness", self.cfg.staleness.to_string()),
                 ("overlap_fraction", format!("{frac:.6}")),
             ],
@@ -430,15 +488,13 @@ impl PipelinedPpo {
     fn scan_timeline(&mut self, ctrl: &Controller) {
         let tl = ctrl.timeline();
         for e in &tl[self.cursor..] {
-            let iv = (e.dispatched, e.completed);
-            match e.method.as_str() {
-                "generate_sequences" => self.gen_iv.push(iv),
-                "compute_values" | "compute_ref_log_prob" | "compute_reward" => {
-                    self.prep_iv.push(iv)
-                }
-                "update_critic" | "update_actor" => self.train_iv.push(iv),
-                _ => {}
-            }
+            let class = match e.method.as_str() {
+                "generate_sequences" | "compute_log_prob" => 0,
+                "compute_values" | "compute_ref_log_prob" | "compute_reward" | "compute_cost" => 1,
+                "update_critic" | "update_actor" => 2,
+                _ => continue,
+            };
+            self.intervals[class].push((e.dispatched, e.completed));
         }
         self.cursor = tl.len();
     }
@@ -449,14 +505,9 @@ impl PipelinedPpo {
     /// from awaited dispatch→completion spans, so the measure is
     /// independent of wait order.
     fn cumulative_overlap(&self, now: f64) -> (f64, f64) {
-        let classes = [
-            merge_intervals(&self.gen_iv),
-            merge_intervals(&self.prep_iv),
-            merge_intervals(&self.train_iv),
-        ];
         let mut edges: Vec<(f64, i32)> = Vec::new();
-        for class in &classes {
-            for &(a, b) in class {
+        for class in &self.intervals {
+            for (a, b) in merge_intervals(class) {
                 edges.push((a, 1));
                 edges.push((b, -1));
             }

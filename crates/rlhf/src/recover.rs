@@ -21,12 +21,10 @@ use hf_core::{Controller, DataProto, Result};
 use hf_resilience::{CheckpointStore, RecoveryStats};
 use hf_simcluster::DeviceId;
 
-use crate::algo::{
-    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, IterStats, RlhfConfig,
-    RlhfSystem,
-};
+use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
 use crate::env::{make_pretrain, make_prompts};
-use crate::remap::{PlannedRemap, RemapDriver, RemapEvent};
+use crate::pipeline::PipelineConfig;
+use crate::remap::{PlannedRemap, RemapEvent};
 use crate::trainer::Algorithm;
 
 /// Configuration of the recovery loop.
@@ -46,8 +44,10 @@ pub struct RecoveryConfig {
     pub data_seed: u64,
     /// Recoveries to attempt before giving up.
     pub max_recoveries: u32,
-    /// The window driver.
-    pub driver: RemapDriver,
+    /// The stage schedule each checkpoint window runs under: one fresh
+    /// driver per window, flushed at the boundary so committed steps have
+    /// pinned staleness (the determinism contract).
+    pub pipeline: PipelineConfig,
     /// Scheduled load-shift re-maps, matured at iteration boundaries.
     pub planned: Vec<PlannedRemap>,
     /// The device universe this run may occupy (`None` = the whole
@@ -66,7 +66,7 @@ impl Default for RecoveryConfig {
             batch: 8,
             data_seed: 0,
             max_recoveries: 4,
-            driver: RemapDriver::Barrier,
+            pipeline: PipelineConfig::BARRIER,
             planned: Vec::new(),
             allowed: None,
             min_world: 1,
@@ -129,30 +129,16 @@ pub fn restore_system_checkpoint(
     Ok(())
 }
 
-/// The `batch`-prompt batch an iteration drawn with `seed` trains on.
-pub(crate) fn iteration_prompts(rc: &RlhfConfig, batch: usize, seed: u64) -> DataProto {
-    make_prompts(batch, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, seed)
-}
-
-/// One iteration of `algorithm` on [`iteration_prompts`] — the
-/// algorithm dispatch every driver shares.
-pub(crate) fn run_iteration(
-    sys: &RlhfSystem,
-    ctrl: &Controller,
+/// The prompt batch (and, for Safe-RLHF, the pre-train batch) an
+/// iteration of `algorithm` drawn with `seed` trains on.
+pub(crate) fn iteration_inputs(
+    rc: &RlhfConfig,
     algorithm: Algorithm,
     batch: usize,
     seed: u64,
-) -> Result<IterStats> {
-    let rc = &sys.cfg;
-    let prompts = iteration_prompts(rc, batch, seed);
-    match algorithm {
-        Algorithm::Ppo => ppo_iteration(sys, ctrl, &prompts),
-        Algorithm::ReMax => remax_iteration(sys, ctrl, &prompts),
-        Algorithm::Grpo => grpo_iteration(sys, ctrl, &prompts),
-        Algorithm::SafeRlhf => {
-            let pretrain =
-                make_pretrain(batch, rc.prompt_len + rc.response_len, rc.lm.vocab as u32, seed);
-            safe_rlhf_iteration(sys, ctrl, &prompts, &pretrain)
-        }
-    }
+) -> (DataProto, Option<DataProto>) {
+    let prompts = make_prompts(batch, rc.prompt_len, rc.response_len, rc.lm.vocab as u32, seed);
+    let pretrain = (algorithm == Algorithm::SafeRlhf)
+        .then(|| make_pretrain(batch, rc.prompt_len + rc.response_len, rc.lm.vocab as u32, seed));
+    (prompts, pretrain)
 }

@@ -38,11 +38,10 @@
 //! run's token streams, weights, and optimizer moments are bit-identical
 //! to a fresh run launched in the re-mapped layout from the same
 //! committed checkpoint (the audit sweep's mid-run-remap dimension and
-//! the `fault_remap` tier-1 test assert exactly this). The pipelined
-//! driver keeps the contract by running one fresh
-//! [`PipelinedPpo`] per checkpoint window and flushing it at the
-//! boundary: every committed step has pinned staleness, hence pinned
-//! bits.
+//! the `fault_remap` tier-1 test assert exactly this). Each checkpoint
+//! window runs one fresh [`StageDriver`] under the configured schedule
+//! and flushes it at the boundary: every committed step has pinned
+//! staleness, hence pinned bits.
 
 use hf_core::{Controller, CoreError, Result, WorkerLayout};
 use hf_mapping::{AlgoKind, DataflowSpec, Mapper};
@@ -53,23 +52,12 @@ use hf_resilience::{classify, CheckpointStore, FailureKind, RecoveryStats};
 use hf_simcluster::{ClusterSpec, DeviceId, ResourcePool};
 
 use crate::algo::{IterStats, Placement, RlhfConfig, RlhfSystem};
-use crate::pipeline::{PipelineConfig, PipelinedPpo};
+use crate::pipeline::StageDriver;
 use crate::recover::{
-    iteration_prompts, restore_system_checkpoint, run_iteration, save_system_checkpoint,
-    RecoveryConfig, RecoveryReport,
+    iteration_inputs, restore_system_checkpoint, save_system_checkpoint, RecoveryConfig,
+    RecoveryReport,
 };
 use crate::trainer::Algorithm;
-
-/// How windows between checkpoints are driven.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RemapDriver {
-    /// The synchronous barrier driver (one `run_iteration` per step).
-    Barrier,
-    /// The pipelined PPO driver: one fresh [`PipelinedPpo`] per
-    /// checkpoint window, flushed at the boundary so committed steps
-    /// have pinned staleness (the determinism contract).
-    Pipelined(PipelineConfig),
-}
 
 /// A capacity-profile shift scheduled from outside (e.g. the serving
 /// front-end re-negotiating training's GPU share): after
@@ -269,28 +257,18 @@ fn run_window(
     start: u64,
     end: u64,
 ) -> Result<Vec<IterStats>> {
-    let seed = |i: u64| cfg.data_seed.wrapping_add(i);
-    match cfg.driver {
-        RemapDriver::Barrier => (start..end)
-            .map(|i| run_iteration(sys, ctrl, cfg.algorithm, cfg.batch, seed(i)))
-            .collect(),
-        RemapDriver::Pipelined(pcfg) => {
-            // Rounds are absolute across the run (one generation per
-            // iteration), so a window starting at iteration `start`
-            // continues the sequence — bit-compatible with the barrier
-            // driver's restored gen_round at staleness 0.
-            let mut pipe = PipelinedPpo::with_round(pcfg, start);
-            let mut out = Vec::new();
-            for i in start..end {
-                let prompts = iteration_prompts(&sys.cfg, cfg.batch, seed(i));
-                if let Some(st) = pipe.step(sys, ctrl, &prompts)? {
-                    out.push(st);
-                }
-            }
-            out.extend(pipe.flush(sys, ctrl)?);
-            Ok(out)
-        }
+    // The actor's restored generation round continues the run's round
+    // sequence, so a fresh driver per window is bit-compatible with one
+    // long run.
+    let mut driver = StageDriver::with_algorithm(cfg.algorithm, cfg.pipeline);
+    let mut out = Vec::new();
+    for i in start..end {
+        let seed = cfg.data_seed.wrapping_add(i);
+        let (prompts, pretrain) = iteration_inputs(&sys.cfg, cfg.algorithm, cfg.batch, seed);
+        out.extend(driver.step_captured(sys, ctrl, &prompts, pretrain.as_ref())?.map(|(s, _)| s));
     }
+    out.extend(driver.flush(sys, ctrl)?);
+    Ok(out)
 }
 
 /// Tears the system's worker groups down on the live controller.

@@ -4,24 +4,24 @@
 //! three-stage dataflow — generation → experience preparation →
 //! training — and differ only in which forward passes preparation
 //! issues, how advantages are finalized, and whether training updates a
-//! critic. [`run_stages`] single-sources that skeleton; a [`StageAlgo`]
-//! supplies the per-algorithm hooks. Preparation is expressed as a list
-//! of [`PrepCall`] descriptors whose futures are issued together and
-//! collected in issue order, which is also what lets the pipelined
-//! driver (see `pipeline`) reuse the exact same call set under a
-//! different schedule.
+//! critic. A [`StageAlgo`] supplies the per-algorithm hooks; the one
+//! stage driver (`pipeline::StageDriver`) composes them under any
+//! schedule, the barrier included. Preparation is expressed as a list of
+//! [`PrepCall`] descriptors whose futures are issued together per
+//! generation chunk and collected in issue order.
 //!
-//! The skeleton reproduces the original hand-written drivers *bit for
-//! bit*: call order, wait order, phase-span boundaries, retry semantics
-//! (critic/actor updates are futures without retry; actor-only training
-//! goes through `invoke_sync`'s transient-retry path), and stats
+//! The barrier schedule reproduces the original hand-written drivers
+//! *bit for bit*: call order, wait order, phase-span boundaries, retry
+//! semantics (critic/actor updates are futures without retry; actor-only
+//! training goes through `invoke_sync`'s transient-retry path), and stats
 //! arithmetic are all unchanged — the audit oracle and fault-matrix
 //! tests pin this.
 
-use hf_core::{Controller, CoreError, DataProto, DpFuture, Result, WorkerGroup};
+use hf_core::{Controller, CoreError, DataProto, Result, WorkerGroup};
 
 use crate::advantage::{gae, grpo_advantages, remax_advantage, shape_token_rewards, whiten};
 use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
+use crate::trainer::Algorithm;
 
 /// Closes an algorithm phase: records a `Phase` span on the controller
 /// track from `start` to now and observes its latency (histogram and
@@ -128,7 +128,7 @@ impl PrepRole {
                 let g = sys
                     .critic
                     .as_ref()
-                    .ok_or_else(|| CoreError::Config("prep stage requires a critic".into()))?;
+                    .ok_or_else(|| CoreError::Config("algorithm requires a critic".into()))?;
                 Ok((g, "compute_values"))
             }
             PrepRole::Reference => Ok((&sys.reference, "compute_ref_log_prob")),
@@ -137,7 +137,7 @@ impl PrepRole {
                 let g = sys
                     .cost
                     .as_ref()
-                    .ok_or_else(|| CoreError::Config("prep stage requires a cost model".into()))?;
+                    .ok_or_else(|| CoreError::Config("algorithm requires a cost model".into()))?;
                 Ok((g, "compute_cost"))
             }
         }
@@ -183,16 +183,25 @@ pub(crate) enum TrainMode {
     /// concurrent futures, collected critic-first. No transient retry —
     /// a failure surfaces immediately (recovery happens a level up).
     CriticActor,
-    /// Per mini-batch: a single synchronous actor update through the
-    /// controller's retry-with-backoff policy.
+    /// Per mini-batch: a single actor update; in-step training calls it
+    /// synchronously through the controller's retry-with-backoff policy.
     ActorOnly,
 }
 
-/// Per-algorithm hooks the stage skeleton composes.
-pub(crate) trait StageAlgo {
-    /// Validates the system has every model this algorithm needs.
-    fn require(&self, sys: &RlhfSystem) -> Result<()>;
+impl Algorithm {
+    /// The algorithm's stage hooks.
+    pub(crate) fn stages(self) -> &'static dyn StageAlgo {
+        match self {
+            Algorithm::Ppo => &PpoStages,
+            Algorithm::ReMax => &RemaxStages,
+            Algorithm::SafeRlhf => &SafeRlhfStages,
+            Algorithm::Grpo => &GrpoStages,
+        }
+    }
+}
 
+/// Per-algorithm hooks the stage driver composes.
+pub(crate) trait StageAlgo {
     /// Transforms the prompt batch before generation (GRPO's ×g group
     /// expansion); `None` generates from the prompts as-is.
     fn expand_prompts(&self, _cfg: &RlhfConfig, _prompts: &DataProto) -> Result<Option<DataProto>> {
@@ -257,41 +266,11 @@ impl TrainTotals {
     }
 }
 
-/// Trains one mini-batch under `mode`, folding losses into `totals`.
-pub(crate) fn train_micro_batch(
-    sys: &RlhfSystem,
-    mode: TrainMode,
-    mb: &DataProto,
-    totals: &mut TrainTotals,
-) -> Result<()> {
-    match mode {
-        TrainMode::CriticActor => {
-            let critic = sys
-                .critic
-                .as_ref()
-                .ok_or_else(|| CoreError::Config("train stage requires a critic".into()))?;
-            let f_c = critic.invoke("update_critic", mb)?;
-            let f_a = sys.actor.invoke("update_actor", mb)?;
-            totals.critic_loss += mean_of(&f_c.wait()?, "critic_loss");
-            totals.absorb_actor(&f_a.wait()?);
-        }
-        TrainMode::ActorOnly => {
-            totals.absorb_actor(&sys.actor.invoke_sync("update_actor", mb)?);
-        }
-    }
-    Ok(())
-}
-
 /// Assembles the iteration's statistics from the finished batch and
-/// training totals. `mean_of` returns 0 for absent columns, so the one
-/// expression covers every algorithm (no `costs` column ⇒ zero mean
-/// cost, and so on).
-pub(crate) fn assemble_stats(
-    batch: &DataProto,
-    totals: &TrainTotals,
-    updates: usize,
-    virtual_seconds: f64,
-) -> IterStats {
+/// training totals (timing fields are filled by the driver). `mean_of`
+/// returns 0 for absent columns, so the one expression covers every
+/// algorithm (no `costs` column ⇒ zero mean cost, and so on).
+pub(crate) fn assemble_stats(batch: &DataProto, totals: &TrainTotals, updates: usize) -> IterStats {
     let k = updates as f32;
     IterStats {
         mean_score: mean_of(batch, "scores"),
@@ -300,78 +279,10 @@ pub(crate) fn assemble_stats(
         entropy: totals.entropy / k,
         critic_loss: totals.critic_loss / k,
         ptx_loss: totals.ptx_loss / k,
-        virtual_seconds,
+        virtual_seconds: 0.0,
         staleness: 0,
         overlap_fraction: 0.0,
     }
-}
-
-/// Runs one synchronous iteration of `algo`'s stage DAG: generation →
-/// experience preparation (futures issued together, collected in issue
-/// order) → training. Returns the stats and the finished experience
-/// batch (the audit oracle fingerprints the latter).
-pub(crate) fn run_stages(
-    algo: &dyn StageAlgo,
-    sys: &RlhfSystem,
-    ctrl: &Controller,
-    prompts: &DataProto,
-    pretrain: Option<&DataProto>,
-) -> Result<(IterStats, DataProto)> {
-    algo.require(sys)?;
-    let t0 = ctrl.clock();
-
-    // Stage 1: generation (plus any auxiliary decode passes).
-    let expanded = algo.expand_prompts(&sys.cfg, prompts)?;
-    let gen_input = expanded.as_ref().unwrap_or(prompts);
-    let mut batch = sys.actor.invoke_sync("generate_sequences", gen_input)?;
-    let mut aux = Vec::new();
-    for input in algo.aux_gen_inputs(prompts) {
-        aux.push(sys.actor.invoke_sync("generate_sequences", &input)?);
-    }
-    if algo.recompute_logp(&sys.cfg) {
-        // Optional Table 4 pass: recompute log-probs under the training
-        // engine's numerics and use them as the PPO old log-probs.
-        let lp = sys.actor.invoke_sync("compute_log_prob", &batch)?;
-        let (cur, w) = lp.f32("cur_logp")?;
-        let cur = cur.to_vec();
-        batch.insert_f32("logp_old", cur, w);
-    }
-    let (t_gen, p_gen) = phase_span(ctrl, "generation", t0, 0);
-
-    // Stage 2: experience preparation — issue every forward pass
-    // concurrently, then collect in issue order.
-    let calls = algo.prep_calls();
-    let mut futures: Vec<(DpFuture, PrepSink)> = Vec::with_capacity(calls.len());
-    for call in &calls {
-        let (group, method) = call.role.resolve(sys)?;
-        let input = match call.input {
-            PrepInput::Batch => &batch,
-            PrepInput::Aux(i) => &aux[i],
-        };
-        futures.push((group.invoke(method, input)?, call.sink));
-    }
-    let mut side = Vec::new();
-    for (fut, sink) in futures {
-        match sink {
-            PrepSink::Union => {
-                batch.union(fut.wait()?)?;
-            }
-            PrepSink::Side => side.push(fut.wait()?),
-        }
-    }
-    algo.finalize(&sys.cfg, &mut batch, &side)?;
-    let (t_prep, p_prep) = phase_span(ctrl, "experience_preparation", t_gen, p_gen);
-
-    // Stage 3: training.
-    algo.pre_train(&sys.cfg, &mut batch, pretrain)?;
-    let mode = algo.train_mode();
-    let mut totals = TrainTotals::default();
-    for mb in batch.chunk(sys.cfg.updates) {
-        train_micro_batch(sys, mode, &mb, &mut totals)?;
-    }
-    phase_span(ctrl, "training", t_prep, p_prep);
-    let stats = assemble_stats(&batch, &totals, sys.cfg.updates, ctrl.clock() - t0);
-    Ok((stats, batch))
 }
 
 /// PPO: critic + reference + reward preparation, GAE advantages,
@@ -379,13 +290,6 @@ pub(crate) fn run_stages(
 pub(crate) struct PpoStages;
 
 impl StageAlgo for PpoStages {
-    fn require(&self, sys: &RlhfSystem) -> Result<()> {
-        sys.critic
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("PPO requires a critic".into()))
-    }
-
     fn recompute_logp(&self, cfg: &RlhfConfig) -> bool {
         cfg.recompute_logp
     }
@@ -412,17 +316,6 @@ impl StageAlgo for PpoStages {
 pub(crate) struct SafeRlhfStages;
 
 impl StageAlgo for SafeRlhfStages {
-    fn require(&self, sys: &RlhfSystem) -> Result<()> {
-        sys.critic
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("Safe-RLHF requires a critic".into()))?;
-        sys.cost
-            .as_ref()
-            .map(|_| ())
-            .ok_or_else(|| CoreError::Config("Safe-RLHF requires a cost model".into()))
-    }
-
     fn prep_calls(&self) -> Vec<PrepCall> {
         vec![
             PrepCall::union(PrepRole::Critic),
@@ -464,10 +357,6 @@ impl StageAlgo for SafeRlhfStages {
 pub(crate) struct RemaxStages;
 
 impl StageAlgo for RemaxStages {
-    fn require(&self, _sys: &RlhfSystem) -> Result<()> {
-        Ok(())
-    }
-
     fn aux_gen_inputs(&self, prompts: &DataProto) -> Vec<DataProto> {
         // Baseline pass: greedy decoding of the same prompts.
         let mut greedy_prompts = prompts.clone();
@@ -513,10 +402,6 @@ impl StageAlgo for RemaxStages {
 pub(crate) struct GrpoStages;
 
 impl StageAlgo for GrpoStages {
-    fn require(&self, _sys: &RlhfSystem) -> Result<()> {
-        Ok(())
-    }
-
     fn expand_prompts(&self, cfg: &RlhfConfig, prompts: &DataProto) -> Result<Option<DataProto>> {
         // Repeat each prompt g times (consecutive rows form a group).
         let g = cfg.grpo_group.max(1);

@@ -9,7 +9,8 @@
 use hf_core::{Controller, CoreError, Result};
 
 use crate::algo::{restore_checkpoint, save_checkpoint, IterStats, RlhfSystem, SystemCheckpoint};
-use crate::recover::run_iteration;
+use crate::pipeline::barrier_iteration;
+use crate::recover::iteration_inputs;
 
 /// Which algorithm the trainer drives each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +105,10 @@ impl RlhfTrainer {
     pub fn step(&mut self, ctrl: &Controller) -> Result<IterStats> {
         let seed = self.cfg.data_seed.wrapping_add(self.iteration);
         let t0 = ctrl.clock();
-        let result = run_iteration(&self.sys, ctrl, self.cfg.algorithm, self.cfg.batch, seed);
-        match result {
-            Ok(stats) => {
+        let algorithm = self.cfg.algorithm;
+        let (prompts, pretrain) = iteration_inputs(&self.sys.cfg, algorithm, self.cfg.batch, seed);
+        match barrier_iteration(algorithm, &self.sys, ctrl, &prompts, pretrain.as_ref()) {
+            Ok((stats, _)) => {
                 self.iteration += 1;
                 self.history.push(stats);
                 let tel = ctrl.telemetry();

@@ -69,18 +69,14 @@ impl Default for WorkerHyper {
     }
 }
 
-/// Meta key: set to `"1"` by the pipelined driver on generation inputs.
-/// Gates the overlap-aware hybrid-engine entry and the
-/// transition-already-done skip for later chunks of the same round —
-/// synchronous drivers never stamp it, so their timing and bits are
-/// untouched.
+/// Meta key: stamped by the stage driver on the generation chunks of an
+/// overlapped schedule, valued with the chunk's first row in the logical
+/// batch. Its presence gates the overlap-aware hybrid-engine entry and
+/// the transition-already-done skip for later chunks of the same round;
+/// a nonzero value marks a continuation chunk, which samples in the
+/// round chunk 0 opened instead of advancing it. The barrier never
+/// stamps it, so its timing and bits are untouched.
 pub const PIPELINE_META: &str = "__pipeline";
-
-/// Meta key: explicit generation round. The pipelined driver splits one
-/// logical generation into several `generate_sequences` calls; stamping
-/// the round keeps every chunk's sampler seeds identical to the single
-/// synchronous call (which advances the worker's own counter once).
-pub const GEN_ROUND_META: &str = "__gen_round";
 
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
@@ -249,8 +245,8 @@ impl ActorWorker {
         if pipelined && self.gen_engine.is_some() && !self.weights_dirty {
             // Later chunks of the same pipelined round: the engine is
             // already in generation mode with current weights, so the
-            // gather would be a no-op reshard — skip it. Synchronous
-            // drivers never take this path (ReMax's second greedy pass
+            // gather would be a no-op reshard — skip it. The barrier
+            // never takes this path (ReMax's second greedy pass
             // deliberately re-runs the gather, and its timing is pinned
             // by committed baselines).
             return Ok(());
@@ -312,7 +308,8 @@ impl ActorWorker {
     }
 
     fn generate_sequences(&mut self, data: DataProto, ctx: &mut RankCtx) -> Result<DataProto> {
-        let pipelined = data.meta.get(PIPELINE_META).map(String::as_str) == Some("1");
+        let chunk_row0 = data.meta.get(PIPELINE_META).and_then(|s| s.parse::<usize>().ok());
+        let pipelined = chunk_row0.is_some();
         // Reshard training → generation weights before generating.
         self.hybrid_engine_transition(ctx, pipelined)?;
         let (prompts, pw) = token_rows(&data, "prompts")?;
@@ -327,12 +324,11 @@ impl ActorWorker {
             .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
             .unwrap_or_default();
         let pad_token: usize = data.meta.get("pad_token").and_then(|s| s.parse().ok()).unwrap_or(0);
-        // One logical generation = one round. The pipelined driver
-        // splits a round into several calls and pins the round via meta
-        // so chunk seeds match the single synchronous call exactly.
-        match data.meta.get(GEN_ROUND_META).and_then(|s| s.parse::<u64>().ok()) {
-            Some(round) => self.gen_round = round,
-            None => self.gen_round += 1,
+        // One logical generation = one round. An overlapped schedule
+        // splits a round into several calls; only its first chunk
+        // advances the round, so chunk seeds match the single call.
+        if chunk_row0.unwrap_or(0) == 0 {
+            self.gen_round += 1;
         }
 
         // Install the resharded weights into the generation engine if

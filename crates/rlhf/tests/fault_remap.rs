@@ -13,8 +13,8 @@ use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
-    remap_recoverable, KeepLayout, MapperPlanner, Placement, PlannedRemap, RecoveryConfig,
-    RecoveryReport, RemapDriver, RlhfConfig, RlhfSystem,
+    remap_recoverable, KeepLayout, MapperPlanner, PipelineConfig, Placement, PlannedRemap,
+    RecoveryConfig, RecoveryReport, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, CommCostModel, DeviceId, ResourcePool};
 use hf_telemetry::Telemetry;
@@ -46,12 +46,12 @@ fn initial_placement() -> Placement {
     Placement::colocated(ResourcePool::contiguous(0, 4), WorkerLayout::with_gen(gen), true, false)
 }
 
-fn remap_cfg(driver: RemapDriver) -> RecoveryConfig {
+fn remap_cfg(pipeline: PipelineConfig) -> RecoveryConfig {
     RecoveryConfig {
         iterations: 4,
         checkpoint_every: 1,
         batch: 8,
-        driver,
+        pipeline,
         allowed: Some((0..4).map(DeviceId).collect()),
         min_world: 1,
         ..Default::default()
@@ -60,14 +60,14 @@ fn remap_cfg(driver: RemapDriver) -> RecoveryConfig {
 
 /// Runs the elastic loop with actor rank 1 killed on its 3rd
 /// `update_actor` dispatch (mid-iteration 2, after step 1 committed).
-fn run_killed(store: &CheckpointStore, driver: RemapDriver) -> RecoveryReport {
-    run_killed_on_ctrl(store, driver).0
+fn run_killed(store: &CheckpointStore, pipeline: PipelineConfig) -> RecoveryReport {
+    run_killed_on_ctrl(store, pipeline).0
 }
 
 /// [`run_killed`], also returning the controller it ran on.
 fn run_killed_on_ctrl(
     store: &CheckpointStore,
-    driver: RemapDriver,
+    pipeline: PipelineConfig,
 ) -> (RecoveryReport, Controller) {
     let plan = FaultPlan::new().kill_rank(
         "actor",
@@ -81,7 +81,7 @@ fn run_killed_on_ctrl(
         Telemetry::enabled(),
         injector.clone(),
     );
-    let cfg = remap_cfg(driver);
+    let cfg = remap_cfg(pipeline);
     let mut planner = MapperPlanner::toy(4);
     let report = remap_recoverable(
         &ctrl,
@@ -100,7 +100,7 @@ fn run_killed_on_ctrl(
 fn kill_then_remap_continues_on_survivors() {
     with_watchdog(300, || {
         let store = fresh_store("continue");
-        let report = run_killed(&store, RemapDriver::Barrier);
+        let report = run_killed(&store, PipelineConfig::BARRIER);
 
         assert_eq!(report.history.len(), 4, "all iterations complete");
         assert_eq!(report.stats.recoveries, 1);
@@ -128,7 +128,7 @@ fn kill_then_remap_continues_on_survivors() {
 fn remap_continuation_matches_fresh_launch_in_new_layout() {
     with_watchdog(300, || {
         let store = fresh_store("bits-live");
-        let report = run_killed(&store, RemapDriver::Barrier);
+        let report = run_killed(&store, PipelineConfig::BARRIER);
         let ev = &report.remaps[0];
         let live_actor = store.load_group(4, "actor").unwrap();
         let live_critic = store.load_group(4, "critic").unwrap();
@@ -181,11 +181,11 @@ fn remap_continuation_matches_fresh_launch_in_new_layout() {
 fn pipelined_remap_driver_matches_barrier_bits() {
     with_watchdog(300, || {
         let store_b = fresh_store("drv-barrier");
-        let report_b = run_killed(&store_b, RemapDriver::Barrier);
+        let report_b = run_killed(&store_b, PipelineConfig::BARRIER);
 
         let store_p = fresh_store("drv-pipelined");
         let pcfg = hf_rlhf::PipelineConfig { staleness: 0, gen_chunks: 2 };
-        let report_p = run_killed(&store_p, RemapDriver::Pipelined(pcfg));
+        let report_p = run_killed(&store_p, pcfg);
 
         assert_eq!(report_p.history.len(), 4);
         assert_eq!(report_p.remaps.len(), 1, "{:?}", report_p.log);
@@ -210,7 +210,7 @@ fn planned_load_shift_remaps_at_the_boundary() {
             CommCostModel::default(),
             Telemetry::enabled(),
         );
-        let mut cfg = remap_cfg(RemapDriver::Barrier);
+        let mut cfg = remap_cfg(PipelineConfig::BARRIER);
         cfg.planned = vec![PlannedRemap { after_iteration: 2, devices: 2 }];
         let mut planner = MapperPlanner::toy(4);
         let report = remap_recoverable(
@@ -320,7 +320,7 @@ fn step0_fault_rebuilds_from_seeds_on_survivors() {
         let report = remap_recoverable(
             &ctrl,
             &store,
-            &remap_cfg(RemapDriver::Barrier),
+            &remap_cfg(PipelineConfig::BARRIER),
             &initial_placement(),
             RlhfConfig::tiny(),
             &mut MapperPlanner::toy(4),
@@ -346,7 +346,7 @@ fn step0_fault_rebuilds_from_seeds_on_survivors() {
 fn remap_telemetry_is_identical_across_reruns() {
     with_watchdog(300, || {
         let recovery_metrics = |tag: &str| {
-            let (_, ctrl) = run_killed_on_ctrl(&fresh_store(tag), RemapDriver::Barrier);
+            let (_, ctrl) = run_killed_on_ctrl(&fresh_store(tag), PipelineConfig::BARRIER);
             let m = ctrl.telemetry().metrics();
             let ours = |k: &String| k.starts_with("remap.") || k.starts_with("resilience.");
             let digests: Vec<_> = m.digests.into_iter().filter(|(k, _)| ours(k)).collect();
