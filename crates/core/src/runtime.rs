@@ -1000,7 +1000,7 @@ impl WorkerGroup {
                         state.clock += backoff;
                     }
                     self.inner.telemetry.add_counter("resilience.retries", 1);
-                    self.inner.telemetry.observe("resilience.retry_backoff_s", backoff);
+                    self.inner.telemetry.observe_digest("resilience.retry_backoff_s", backoff);
                 }
                 other => return other,
             }

@@ -24,11 +24,11 @@ use crate::algo::{IterStats, RlhfConfig, RlhfSystem};
 use crate::trainer::Algorithm;
 
 /// Closes an algorithm phase: records a `Phase` span on the controller
-/// track from `start` to now and observes its latency (histogram and
-/// percentile digest), returning `(now, span id)` so the next phase can
-/// start at now and cite this one as its cause — phase spans chain into
-/// the causal graph's backbone. Free when the controller's telemetry is
-/// disabled; never advances the clock.
+/// track from `start` to now and observes its latency into the
+/// `phase.<name>.seconds` digest, returning `(now, span id)` so the
+/// next phase can start at now and cite this one as its cause — phase
+/// spans chain into the causal graph's backbone. Free when the
+/// controller's telemetry is disabled; never advances the clock.
 pub(crate) fn phase_span(ctrl: &Controller, name: &str, start: f64, prev: u64) -> (f64, u64) {
     let now = ctrl.clock();
     let tel = ctrl.telemetry();
@@ -43,7 +43,6 @@ pub(crate) fn phase_span(ctrl: &Controller, name: &str, start: f64, prev: u64) -
         &[prev],
         &[],
     );
-    tel.observe(&format!("phase.{name}.seconds"), now - start);
     tel.observe_digest(&format!("phase.{name}.seconds"), now - start);
     (now, id)
 }

@@ -70,7 +70,7 @@ impl RewardEvaluatorWorker {
         ctx.telemetry.add_counter("reward_eval.failed", report.failed);
         let occ = report.mean_occupancy();
         ctx.telemetry.set_gauge("reward_eval.pool_occupancy", occ);
-        ctx.telemetry.observe("reward_eval.pool_occupancy", occ);
+        ctx.telemetry.observe_digest("reward_eval.pool_occupancy", occ);
         ctx.telemetry.sample("reward_eval.pool_occupancy", t1, occ);
     }
 }

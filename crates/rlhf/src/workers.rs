@@ -426,8 +426,8 @@ impl ActorWorker {
             prev_step_id = step_id;
             ctx.telemetry.sample("genserve.rollout.batch_size", t1, tr.batch as f64);
             ctx.telemetry.sample("genserve.rollout.block_utilization", t1, util);
-            ctx.telemetry.observe("genserve.rollout.batch_size", tr.batch as f64);
-            ctx.telemetry.observe("genserve.rollout.block_utilization", util);
+            ctx.telemetry.observe_digest("genserve.rollout.batch_size", tr.batch as f64);
+            ctx.telemetry.observe_digest("genserve.rollout.block_utilization", util);
         }
         // Engine metrics are tagged with their consumer (`rollout` —
         // the training job's generation; hf-serve tenants use

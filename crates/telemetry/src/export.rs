@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::model::{CounterSample, MetricsSnapshot, SpanKind, SpanRecord};
+use crate::model::{CounterSample, Digest, MetricsSnapshot, SpanKind, SpanRecord};
 
 /// Escapes a string for a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -194,6 +194,27 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
+/// Metric prefixes that get their own summary section.
+const SECTIONS: [&str; 3] = ["search.", "genserve.", "resilience."];
+
+/// The entries of `series` under `prefix`, keyed by the rest of the name.
+fn in_section<'a, V>(
+    series: &'a BTreeMap<String, V>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a str, &'a V)> {
+    series.iter().filter_map(move |(k, v)| Some((k.strip_prefix(prefix)?, v)))
+}
+
+fn digest_row(name: &str, d: &Digest) -> String {
+    format!(
+        "  {name:<40} {} / {:.6} / {:.6} / {:.6}\n",
+        d.count,
+        d.quantile(0.50),
+        d.quantile(0.95),
+        d.quantile(0.99),
+    )
+}
+
 /// Plain-text digest: phase spans at or after `t0`, per-kind busy time,
 /// utilization over the summarized window, then the metrics registry.
 pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> String {
@@ -238,72 +259,22 @@ pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> Stri
         }
     }
 
-    // Mapping-search instrumentation gets its own section; `search.*`
-    // metrics are pulled out of the generic counter/gauge lists.
-    let search_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("search.")).collect();
-    let search_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("search.")).collect();
-    if !search_counters.is_empty() || !search_gauges.is_empty() {
-        out.push_str("search:\n");
-        for (k, v) in &search_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["search.".len()..]));
+    // Subsystem sections (mapping search, generation engine,
+    // resilience): each prints its counters, gauges and digests under
+    // its prefix, and they leave the generic lists below.
+    for prefix in SECTIONS {
+        let mut rows = String::new();
+        for (k, v) in in_section(&metrics.counters, prefix) {
+            rows.push_str(&format!("  {k:<40} {v}\n"));
         }
-        for (k, v) in &search_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["search.".len()..]));
+        for (k, v) in in_section(&metrics.gauges, prefix) {
+            rows.push_str(&format!("  {k:<40} {v:.6}\n"));
         }
-    }
-
-    // Generation-engine instrumentation (continuous batching, paged
-    // cache): `genserve.*` metrics get their own section too.
-    let gs_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    let gs_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    let gs_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| k.starts_with("genserve.")).collect();
-    if !gs_counters.is_empty() || !gs_gauges.is_empty() || !gs_hists.is_empty() {
-        out.push_str("genserve:\n");
-        for (k, v) in &gs_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["genserve.".len()..]));
+        for (k, d) in in_section(&metrics.digests, prefix) {
+            rows.push_str(&digest_row(k, d));
         }
-        for (k, v) in &gs_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["genserve.".len()..]));
-        }
-        for (k, h) in &gs_hists {
-            out.push_str(&format!(
-                "  {:<40} mean {:.2} peak {:.0} ({} steps)\n",
-                &k["genserve.".len()..],
-                h.mean(),
-                if h.count == 0 { 0.0 } else { h.max },
-                h.count,
-            ));
-        }
-    }
-
-    // Resilience instrumentation (fault injection, failure detection,
-    // recovery): `resilience.*` metrics get their own section.
-    let rs_counters: Vec<(&String, &u64)> =
-        metrics.counters.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    let rs_gauges: Vec<(&String, &f64)> =
-        metrics.gauges.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    let rs_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| k.starts_with("resilience.")).collect();
-    if !rs_counters.is_empty() || !rs_gauges.is_empty() || !rs_hists.is_empty() {
-        out.push_str("resilience:\n");
-        for (k, v) in &rs_counters {
-            out.push_str(&format!("  {:<40} {v}\n", &k["resilience.".len()..]));
-        }
-        for (k, v) in &rs_gauges {
-            out.push_str(&format!("  {:<40} {v:.6}\n", &k["resilience.".len()..]));
-        }
-        for (k, h) in &rs_hists {
-            out.push_str(&format!(
-                "  {:<40} {} / mean {:.6}\n",
-                &k["resilience.".len()..],
-                h.count,
-                h.mean(),
-            ));
+        if !rows.is_empty() {
+            out.push_str(&format!("{}:\n{rows}", prefix.trim_end_matches('.')));
         }
     }
 
@@ -328,9 +299,7 @@ pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> Stri
         ));
     }
 
-    let sectioned = |k: &String| {
-        k.starts_with("search.") || k.starts_with("genserve.") || k.starts_with("resilience.")
-    };
+    let sectioned = |k: &String| SECTIONS.iter().any(|p| k.starts_with(p));
     let generic_counters: Vec<(&String, &u64)> =
         metrics.counters.iter().filter(|(k, _)| !sectioned(k)).collect();
     if !generic_counters.is_empty() {
@@ -351,30 +320,12 @@ pub fn summary(spans: &[SpanRecord], metrics: &MetricsSnapshot, t0: f64) -> Stri
             out.push_str(&format!("  {k:<40} {v:.6}\n"));
         }
     }
-    let generic_hists: Vec<(&String, &crate::Histogram)> =
-        metrics.histograms.iter().filter(|(k, _)| !sectioned(k)).collect();
-    if !generic_hists.is_empty() {
-        out.push_str("histograms (count / mean / min / max):\n");
-        for (k, h) in generic_hists {
-            out.push_str(&format!(
-                "  {k:<40} {} / {:.6} / {:.6} / {:.6}\n",
-                h.count,
-                h.mean(),
-                if h.count == 0 { 0.0 } else { h.min },
-                if h.count == 0 { 0.0 } else { h.max },
-            ));
-        }
-    }
-    if !metrics.digests.is_empty() {
+    let generic_digests: Vec<(&String, &Digest)> =
+        metrics.digests.iter().filter(|(k, _)| !sectioned(k)).collect();
+    if !generic_digests.is_empty() {
         out.push_str("digests (count / p50 / p95 / p99):\n");
-        for (k, d) in &metrics.digests {
-            out.push_str(&format!(
-                "  {k:<40} {} / {:.6} / {:.6} / {:.6}\n",
-                d.count,
-                d.quantile(0.50),
-                d.quantile(0.95),
-                d.quantile(0.99),
-            ));
+        for (k, d) in generic_digests {
+            out.push_str(&digest_row(k, d));
         }
     }
     if out.is_empty() {
@@ -496,18 +447,20 @@ mod tests {
         metrics.counters.insert("resilience.retries".into(), 3);
         metrics.gauges.insert("resilience.mttr_s".into(), 0.25);
         metrics.gauges.insert("resilience.rollback_lost_s".into(), 1.5);
-        let mut h = crate::Histogram::default();
-        h.record(0.05);
-        h.record(0.1);
-        metrics.histograms.insert("resilience.retry_backoff_s".into(), h);
+        let mut d = Digest::new();
+        d.record(0.05);
+        d.record(0.1);
+        metrics.digests.insert("resilience.retry_backoff_s".into(), d);
         let text = summary(&[], &metrics, 0.0);
         assert!(text.contains("resilience:"), "got:\n{text}");
         assert!(text.contains("faults_injected"));
         assert!(text.contains("mttr_s"));
-        assert!(text.contains("retry_backoff_s"));
+        assert!(text.contains("  retry_backoff_s"), "got:\n{text}");
         // resilience.* must not reappear in the generic lists.
         assert!(!text.contains("resilience.faults_injected"), "got:\n{text}");
+        assert!(!text.contains("resilience.retry_backoff_s"), "got:\n{text}");
         assert!(!text.contains("gauges:"), "got:\n{text}");
+        assert!(!text.contains("digests (count"), "got:\n{text}");
     }
 
     #[test]
@@ -537,18 +490,29 @@ mod tests {
         metrics.counters.insert("genserve.preemptions".into(), 3);
         metrics.counters.insert("genserve.generated_tokens".into(), 640);
         metrics.gauges.insert("genserve.tokens_per_s".into(), 123.4);
-        let mut h = crate::Histogram::default();
-        h.record(16.0);
-        h.record(64.0);
-        metrics.histograms.insert("genserve.batch_size".into(), h);
+        let mut d = Digest::new();
+        d.record(16.0);
+        d.record(64.0);
+        metrics.digests.insert("genserve.rollout.batch_size".into(), d.clone());
+        metrics.digests.insert("phase.generation.seconds".into(), d);
         let text = summary(&[], &metrics, 0.0);
         assert!(text.contains("genserve:"), "got:\n{text}");
         assert!(text.contains("preemptions"));
         assert!(text.contains("tokens_per_s"));
-        assert!(text.contains("batch_size"));
-        // genserve.* must not leak into the generic lists.
+        // Sectioned digests use the generic list's row format.
+        assert!(
+            text.contains(&format!(
+                "  {:<40} 2 / 16.000000 / 64.000000 / 64.000000\n",
+                "rollout.batch_size"
+            )),
+            "got:\n{text}"
+        );
+        // genserve.* must not leak into the generic lists; other digests
+        // stay there.
         assert!(!text.contains("genserve.preemptions"));
-        assert!(!text.contains("histograms (count"), "genserve-only histograms stay sectioned");
+        let generic = &text[text.find("digests (count").expect("generic digests")..];
+        assert!(generic.contains("phase.generation.seconds"), "got:\n{text}");
+        assert!(!generic.contains("batch_size"), "genserve digests stay sectioned:\n{text}");
     }
 
     #[test]

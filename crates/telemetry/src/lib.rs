@@ -26,7 +26,7 @@
 mod export;
 mod model;
 
-pub use model::{CounterSample, Digest, Histogram, MetricsSnapshot, SpanKind, SpanRecord};
+pub use model::{CounterSample, Digest, MetricsSnapshot, SpanKind, SpanRecord};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +57,6 @@ struct State {
     samples: Vec<CounterSample>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     digests: BTreeMap<String, Digest>,
     /// Flight-recorder capacity: `None` = unbounded (record forever),
     /// `Some(n)` = keep only the most recent `n` spans.
@@ -97,8 +96,8 @@ impl Telemetry {
     /// spans (a flight recorder): thousand-iteration runs stay bounded,
     /// and the tail of the trace is always available for post-mortems.
     /// Evictions are counted — see [`Telemetry::dropped_spans`].
-    /// Counters, gauges, histograms, and digests are unaffected (they
-    /// are already O(1) per series).
+    /// Counters, gauges, and digests are unaffected (they are already
+    /// O(1) per series).
     pub fn with_span_capacity(capacity: usize) -> Self {
         let t = Telemetry::enabled();
         if let Some(inner) = &t.inner {
@@ -220,12 +219,6 @@ impl Telemetry {
         inner.state.lock().gauges.insert(name.to_string(), value);
     }
 
-    /// Records one observation into the histogram `name`.
-    pub fn observe(&self, name: &str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner.state.lock().histograms.entry(name.to_string()).or_default().record(value);
-    }
-
     /// Records one observation into the percentile digest `name`.
     pub fn observe_digest(&self, name: &str, value: f64) {
         let Some(inner) = &self.inner else { return };
@@ -258,12 +251,6 @@ impl Telemetry {
         inner.state.lock().gauges.get(name).copied()
     }
 
-    /// A copy of histogram `name`.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.inner.as_ref()?;
-        inner.state.lock().histograms.get(name).copied()
-    }
-
     /// Every span recorded so far (still held by the flight recorder),
     /// in recording order.
     pub fn spans(&self) -> Vec<SpanRecord> {
@@ -281,7 +268,6 @@ impl Telemetry {
                 MetricsSnapshot {
                     counters: s.counters.clone(),
                     gauges: s.gauges.clone(),
-                    histograms: s.histograms.clone(),
                     digests: s.digests.clone(),
                 }
             }
@@ -298,7 +284,6 @@ impl Telemetry {
         s.samples.clear();
         s.counters.clear();
         s.gauges.clear();
-        s.histograms.clear();
         s.digests.clear();
         s.dropped_spans = 0;
         inner.next_id.store(1, Ordering::Relaxed);
@@ -355,13 +340,13 @@ mod tests {
         let t = Telemetry::disabled();
         t.span("gpu-0", "x", SpanKind::Exec, 0.0, 1.0);
         t.add_counter("c", 5);
-        t.observe("h", 1.0);
+        t.observe_digest("h", 1.0);
         t.set_gauge("g", 2.0);
         assert!(!t.is_enabled());
         assert!(t.spans().is_empty());
         assert_eq!(t.counter("c"), 0);
         assert!(t.gauge("g").is_none());
-        assert!(t.histogram("h").is_none());
+        assert!(t.digest("h").is_none());
     }
 
     #[test]
@@ -386,16 +371,31 @@ mod tests {
     }
 
     #[test]
-    fn histogram_accumulates() {
+    fn digest_accumulates() {
         let t = Telemetry::enabled();
-        t.observe("lat", 1.0);
-        t.observe("lat", 3.0);
-        let h = t.histogram("lat").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 4.0);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        assert_eq!(h.mean(), 2.0);
+        t.observe_digest("lat", 1.0);
+        t.observe_digest("lat", 3.0);
+        let d = t.digest("lat").unwrap();
+        assert_eq!(d.count, 2);
+        assert_eq!(d.sum, 4.0);
+        assert_eq!(d.min, 1.0);
+        assert_eq!(d.max, 3.0);
+        assert_eq!(d.mean(), 2.0);
+    }
+
+    #[test]
+    fn fresh_series_keep_true_min_and_max() {
+        let t = Telemetry::enabled();
+        t.observe_digest("x", 5.0);
+        let d = t.digest("x").unwrap();
+        assert_eq!((d.min, d.max), (5.0, 5.0));
+        let mut local = Digest::new();
+        local.record(2.0);
+        local.record(4.0);
+        t.merge_digest("merged", &local);
+        let m = t.digest("merged").unwrap();
+        assert_eq!((m.min, m.max), (2.0, 4.0));
+        assert_eq!(Digest::default(), Digest::new());
     }
 
     #[test]
