@@ -1079,6 +1079,7 @@ impl DpFuture {
     fn contextualize(&self, rank: usize, e: CoreError) -> CoreError {
         let m = format!("{}::{} rank {rank}: {e}", self.group_name, self.method);
         match e {
+            CoreError::Data(_) => CoreError::Data(m),
             CoreError::Transient(_) => CoreError::Transient(m),
             CoreError::PeerFailed(_) => CoreError::PeerFailed(m),
             CoreError::WorkerPanicked(_) => CoreError::WorkerPanicked(m),

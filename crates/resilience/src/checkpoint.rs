@@ -1,13 +1,16 @@
-//! Sharded, atomic checkpoint/restore for worker groups.
+//! Sharded, atomic checkpoint/restore for worker groups, and the one
+//! owner of both checkpoint formats.
 //!
-//! **Sharded**: checkpointing dispatches the `save_shard` method to
-//! every rank (ALL_TO_ALL). Each rank replies with one padded row
-//! carrying *its own slice* of the flat parameter vector plus the
-//! matching Adam moments — the (p,t,d)-aware partition for replicated
-//! workers (the model-parallel group tiles the vector; only one data-
-//! parallel replica owns shards), or the ZeRO shard each rank already
-//! holds. Checkpoint volume is therefore ~one copy of the model, not
-//! `world` copies.
+//! **Sharded**: every save — on disk or in memory — dispatches the
+//! `save_shard` method to every rank (ALL_TO_ALL). Each rank replies
+//! with one padded [`encode_shard`] row carrying *its own slice* of the
+//! flat parameter vector plus the matching Adam moments — the
+//! (p,t,d)-aware partition for replicated workers (the model-parallel
+//! group tiles the vector; only one data-parallel replica owns shards),
+//! or the ZeRO shard each rank already holds. One validation pass
+//! assembles the owner rows for both the shard files and
+//! [`snapshot_group`]. Checkpoint volume is therefore ~one copy of the
+//! model, not `world` copies.
 //!
 //! **Atomic**: every shard file is written `tmp+rename`; a manifest
 //! records each shard's FNV-1a content hash; a step directory only
@@ -15,11 +18,10 @@
 //! mid-save leaves at worst an uncommitted directory that
 //! [`CheckpointStore::latest_step`] ignores.
 //!
-//! **Restore** reassembles the full vectors from the owner shards
-//! (verifying hashes and that the shard ranges tile the vector exactly),
-//! then broadcasts them into a — typically freshly spawned — worker
-//! group through the workers' existing `load_checkpoint` method,
-//! checksum and RNG round included.
+//! **Restore** broadcasts one `load_checkpoint` payload
+//! ([`AssembledState::to_payload`]) that every rank decodes with
+//! [`decode_load`], which checks every length and the checksum before
+//! the worker changes any state.
 
 use std::fs;
 use std::io::{self, Read as _, Write as _};
@@ -27,11 +29,8 @@ use std::path::{Path, PathBuf};
 
 use hf_core::{CoreError, DataProto, Protocol, Result, WorkerGroup};
 
-/// The worker method checkpointing dispatches (ALL_TO_ALL). Workers that
-/// support sharded checkpoints implement it by returning one row with
-/// columns `shard_params` / `shard_m` / `shard_v` (uniform padded width
-/// across ranks) and `shard_meta` (`[rank, start, len, owner, total,
-/// gen_round, opt_t]` as f32).
+/// The worker method every checkpoint dispatches (ALL_TO_ALL); workers
+/// answer it with one [`encode_shard`] row.
 pub const SAVE_SHARD_METHOD: &str = "save_shard";
 
 /// Width of the `shard_meta` column.
@@ -39,28 +38,16 @@ pub const SHARD_META_WIDTH: usize = 7;
 
 const SHARD_MAGIC: &[u8; 4] = b"HFS1";
 
-/// FNV-1a over a byte buffer — the same silent-corruption guard the
-/// workers' `load_checkpoint` applies to parameter bit patterns.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// FNV-1a over a byte stream: the shard files' content hash and, over
+/// parameter bit patterns, the load payload's checksum.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
-/// FNV-1a over the bit pattern of an f32 buffer, matching the workers'
-/// checkpoint checksum.
+/// FNV-1a over the bit pattern of a parameter buffer — the §9
+/// silent-data-corruption guard [`decode_load`] verifies.
 fn param_checksum(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for p in params {
-        for b in p.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    fnv1a(params.iter().flat_map(|p| p.to_le_bytes()))
 }
 
 fn io_err(context: &str, e: io::Error) -> CoreError {
@@ -79,6 +66,117 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     fs::rename(&tmp, path).map_err(|e| io_err("rename", e))
 }
 
+/// One rank's `save_shard` header, carried in the `shard_meta` column
+/// as `[rank, start, len, owner, total, gen_round, opt_t]` (all values
+/// < 2^24, exact in f32).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardMeta {
+    /// The replying rank.
+    pub rank: usize,
+    /// First element of the shard within the flat vector.
+    pub start: usize,
+    /// Elements in the shard (the row is zero-padded beyond them).
+    pub len: usize,
+    /// Whether the checkpoint keeps this row (data-parallel replicas
+    /// other than the owner hold the same bytes).
+    pub owner: bool,
+    /// Length of the full flat vector.
+    pub total: usize,
+    /// Generation RNG round (actor only; 0 otherwise).
+    pub gen_round: u64,
+    /// Adam step count.
+    pub opt_t: u64,
+}
+
+/// Encodes one rank's `save_shard` reply: the first `meta.len` elements
+/// of `shard` (the rank's parameters and both Adam moments, each from
+/// the shard's start), zero-padded to `padded` — the same on every rank,
+/// so the ALL_TO_ALL concat aligns.
+pub fn encode_shard(meta: ShardMeta, padded: usize, shard: [&[f32]; 3]) -> DataProto {
+    let ShardMeta { rank, start, len, owner, total, gen_round, opt_t } = meta;
+    let mut out = DataProto::with_rows(1);
+    for (name, src) in ["shard_params", "shard_m", "shard_v"].into_iter().zip(shard) {
+        let mut row = src[..len].to_vec();
+        row.resize(padded, 0.0);
+        out.insert_f32(name, row, padded);
+    }
+    let head = [rank, start, len, usize::from(owner), total].map(|x| x as f32);
+    let row = [&head[..], &[gen_round as f32, opt_t as f32]].concat();
+    out.insert_f32("shard_meta", row, SHARD_META_WIDTH);
+    out
+}
+
+/// Collects `group`'s `save_shard` rows and assembles the owner shards,
+/// after the one validation both the on-disk and the in-memory save
+/// run: column widths, owner agreement on `(total, gen_round, opt_t)`,
+/// `len <= width`, and ranges that tile `[0, total)` exactly.
+fn collect_shards(group: &WorkerGroup) -> Result<(AssembledState, Vec<ShardMeta>)> {
+    let rows = group.call_sync(SAVE_SHARD_METHOD, &DataProto::empty(), Protocol::AllToAll)?;
+    let (meta, mw) = rows.f32("shard_meta")?;
+    if mw != SHARD_META_WIDTH {
+        return Err(CoreError::Data(format!("shard_meta width {mw}, expected {SHARD_META_WIDTH}")));
+    }
+    let cols = [rows.f32("shard_params")?, rows.f32("shard_m")?, rows.f32("shard_v")?];
+    let pw = cols[0].1;
+    if cols.iter().any(|&(_, w)| w != pw) {
+        return Err(CoreError::Data("shard moment widths must match shard_params".into()));
+    }
+    let mut owners: Vec<(usize, ShardMeta)> = Vec::new();
+    for (r, md) in meta.chunks_exact(mw).enumerate() {
+        let [rank, start, len, owner, total, gen_round, opt_t] =
+            <[f32; SHARD_META_WIDTH]>::try_from(md).expect("chunk of the meta width");
+        let (rank, start, len, total) =
+            (rank as usize, start as usize, len as usize, total as usize);
+        let (gen_round, opt_t) = (gen_round as u64, opt_t as u64);
+        let m = ShardMeta { rank, start, len, owner: owner != 0.0, total, gen_round, opt_t };
+        if !m.owner {
+            continue;
+        }
+        // Every owner must agree on the vector size and RNG/optimizer
+        // rounds; a disagreement means the group's ranks are not in
+        // lockstep (e.g. a half-torn-down group mid-remap) and the
+        // shards would assemble into a silently inconsistent state.
+        let header = |m: &ShardMeta| (m.total, m.gen_round, m.opt_t);
+        if let Some((_, first)) = owners.first().filter(|(_, f)| header(f) != header(&m)) {
+            return Err(CoreError::Data(format!(
+                "shard of rank {rank} disagrees with the group: \
+                 (total, gen_round, opt_t) = {:?} vs {:?}",
+                header(&m),
+                header(first)
+            )));
+        }
+        if len > pw {
+            return Err(CoreError::Data(format!(
+                "shard of rank {rank} claims len {len} > padded width {pw}"
+            )));
+        }
+        owners.push((r, m));
+    }
+    let Some(&(_, first)) = owners.first() else {
+        return Err(CoreError::Data(
+            "no rank owns any shard; refusing to write an empty checkpoint".into(),
+        ));
+    };
+    check_coverage(owners.iter().map(|(_, m)| (m.start, m.len)), first.total)?;
+    let mut full = [(); 3].map(|_| vec![0.0f32; first.total]);
+    for (r, m) in &owners {
+        for (dst, (src, _)) in full.iter_mut().zip(&cols) {
+            dst[m.start..m.start + m.len].copy_from_slice(&src[r * pw..r * pw + m.len]);
+        }
+    }
+    let [params, opt_m, opt_v] = full;
+    let st =
+        AssembledState { params, opt_m, opt_v, opt_t: first.opt_t, gen_round: first.gen_round };
+    Ok((st, owners.into_iter().map(|(_, m)| m).collect()))
+}
+
+/// Snapshots `group`'s full training state in memory through the same
+/// `save_shard` collect and checks as [`CheckpointStore::save_group`]:
+/// the result equals what `save_group` + `load_group` return.
+pub fn snapshot_group(group: &WorkerGroup) -> Result<AssembledState> {
+    collect_shards(group).map(|(st, _)| st)
+}
+
 /// Everything needed to rebuild a worker's training state: the full
 /// flat parameter vector, full Adam moments, the Adam step count, and
 /// the generation RNG round.
@@ -94,6 +192,67 @@ pub struct AssembledState {
     pub opt_t: u64,
     /// Generation RNG round (actor only; 0 otherwise).
     pub gen_round: u64,
+}
+
+impl AssembledState {
+    /// Encodes the state as the workers' `load_checkpoint` payload: one
+    /// row with columns `params`, `opt_m`, `opt_v` and meta `checksum`,
+    /// `gen_round`, `opt_t`.
+    pub fn to_payload(&self) -> DataProto {
+        let mut d = DataProto::with_rows(1);
+        for (name, col) in
+            [("params", &self.params), ("opt_m", &self.opt_m), ("opt_v", &self.opt_v)]
+        {
+            d.insert_f32(name, col.clone(), col.len());
+        }
+        d.meta.insert("checksum".into(), format!("{:016x}", param_checksum(&self.params)));
+        d.meta.insert("gen_round".into(), self.gen_round.to_string());
+        d.meta.insert("opt_t".into(), self.opt_t.to_string());
+        d
+    }
+}
+
+/// A verified `load_checkpoint` payload, borrowing the request.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadPayload<'a> {
+    /// The full flat parameter vector.
+    pub params: &'a [f32],
+    /// Adam `(m, v, t)`, when the payload carries both moments.
+    pub opt: Option<(&'a [f32], &'a [f32], u64)>,
+    /// The generation RNG round, when the payload carries one.
+    pub gen_round: Option<u64>,
+}
+
+/// Decodes a `load_checkpoint` request for a model of `n_params`
+/// parameters, checking every length and the checksum (when present)
+/// first — a worker that installs the result only on `Ok` never changes
+/// state on a malformed payload. A `params`-only payload leaves the
+/// optimizer alone.
+pub fn decode_load(data: &DataProto, n_params: usize) -> Result<LoadPayload<'_>> {
+    let (params, _) = data.f32("params")?;
+    let opt = if data.has("opt_m") && data.has("opt_v") {
+        let t = data.meta.get("opt_t").and_then(|s| s.parse().ok()).unwrap_or(0);
+        Some((data.f32("opt_m")?.0, data.f32("opt_v")?.0, t))
+    } else {
+        None
+    };
+    let lens = [Some(params.len()), opt.map(|o| o.0.len()), opt.map(|o| o.1.len())];
+    if lens.iter().flatten().any(|&n| n != n_params) {
+        return Err(CoreError::Data(format!(
+            "checkpoint size mismatch: (params, opt_m, opt_v) lengths {lens:?}, model has {n_params}"
+        )));
+    }
+    if let Some(expect) = data.meta.get("checksum") {
+        let got = format!("{:016x}", param_checksum(params));
+        if &got != expect {
+            return Err(CoreError::Data(format!(
+                "checkpoint checksum mismatch: stored {expect}, computed {got} \
+                 (silent data corruption)"
+            )));
+        }
+    }
+    let gen_round = data.meta.get("gen_round").and_then(|s| s.parse().ok());
+    Ok(LoadPayload { params, opt, gen_round })
 }
 
 /// What one `save_group` wrote.
@@ -138,77 +297,34 @@ impl CheckpointStore {
         self.dir.join(format!("step-{step:06}"))
     }
 
-    /// Collects every rank's shard of `group` via [`SAVE_SHARD_METHOD`]
-    /// and writes the owner shards plus a hashed manifest under
+    /// Collects every rank's shard of `group` via [`SAVE_SHARD_METHOD`],
+    /// validates them exactly as [`snapshot_group`] does, and writes the
+    /// owner shards plus a hashed manifest under
     /// `step-NNNNNN/`. Not visible to [`CheckpointStore::latest_step`]
     /// until [`CheckpointStore::commit`] lands the step's marker.
     pub fn save_group(&self, group: &WorkerGroup, step: u64) -> Result<GroupSaveReport> {
-        let shards = group.call_sync(SAVE_SHARD_METHOD, &DataProto::empty(), Protocol::AllToAll)?;
-        let (meta, mw) = shards.f32("shard_meta")?;
-        if mw != SHARD_META_WIDTH {
-            return Err(CoreError::Data(format!(
-                "shard_meta width {mw}, expected {SHARD_META_WIDTH}"
-            )));
-        }
-        let (params, pw) = shards.f32("shard_params")?;
-        let (om, omw) = shards.f32("shard_m")?;
-        let (ov, ovw) = shards.f32("shard_v")?;
-        if omw != pw || ovw != pw {
-            return Err(CoreError::Data("shard moment widths must match shard_params".into()));
-        }
-        let rows = shards.rows();
+        let (st, owners) = collect_shards(group)?;
+        let (total, gen_round, opt_t) = (st.params.len(), st.gen_round, st.opt_t);
         let step_dir = self.step_dir(step);
         fs::create_dir_all(&step_dir).map_err(|e| io_err("create step dir", e))?;
 
         let mut entries: Vec<ShardEntry> = Vec::new();
-        let mut header: Option<(usize, u64, u64)> = None;
         let mut bytes = 0u64;
-        for r in 0..rows {
-            let md = &meta[r * mw..(r + 1) * mw];
-            let (rank, start, len, owner) =
-                (md[0] as usize, md[1] as usize, md[2] as usize, md[3] != 0.0);
-            if !owner {
-                continue;
-            }
-            // Every owner must agree on the vector size and RNG/optimizer
-            // rounds; a disagreement means the group's ranks are not in
-            // lockstep (e.g. a half-torn-down group mid-remap) and the
-            // shards would assemble into a silently inconsistent state.
-            let row_header = (md[4] as usize, md[5] as u64, md[6] as u64);
-            match header {
-                None => header = Some(row_header),
-                Some(h) if h == row_header => {}
-                Some(h) => {
-                    return Err(CoreError::Data(format!(
-                        "shard of rank {rank} disagrees with the group: \
-                         (total, gen_round, opt_t) = {row_header:?} vs {h:?}"
-                    )));
-                }
-            }
-            if len > pw {
-                return Err(CoreError::Data(format!(
-                    "shard of rank {rank} claims len {len} > padded width {pw}"
-                )));
-            }
-            let mut payload = Vec::with_capacity(4 + 16 + 12 * len + SHARD_MAGIC.len());
+        for m in &owners {
+            let r = m.start..m.start + m.len;
+            let mut payload = Vec::with_capacity(SHARD_MAGIC.len() + 16 + 12 * m.len);
             payload.extend_from_slice(SHARD_MAGIC);
-            payload.extend_from_slice(&(start as u64).to_le_bytes());
-            payload.extend_from_slice(&(len as u64).to_le_bytes());
-            for col in [params, om, ov] {
-                for x in &col[r * pw..r * pw + len] {
-                    payload.extend_from_slice(&x.to_le_bytes());
-                }
+            payload.extend_from_slice(&(m.start as u64).to_le_bytes());
+            payload.extend_from_slice(&(m.len as u64).to_le_bytes());
+            for col in [&st.params, &st.opt_m, &st.opt_v] {
+                payload.extend(col[r.clone()].iter().flat_map(|x| x.to_le_bytes()));
             }
-            let hash = fnv1a(&payload);
-            let file = format!("{}-rank-{rank:03}.bin", group.name());
+            let hash = fnv1a(payload.iter().copied());
+            let file = format!("{}-rank-{:03}.bin", group.name(), m.rank);
             write_atomic(&step_dir.join(&file), &payload)?;
             bytes += payload.len() as u64;
-            entries.push(ShardEntry { file, start, len, hash });
+            entries.push(ShardEntry { file, start: m.start, len: m.len, hash });
         }
-        let (total, gen_round, opt_t) = header.ok_or_else(|| {
-            CoreError::Data("no rank owns any shard; refusing to write an empty checkpoint".into())
-        })?;
-        check_coverage(&entries, total)?;
 
         let mut manifest = format!(
             "step={step} total={total} gen_round={gen_round} opt_t={opt_t} shards={}\n",
@@ -332,7 +448,7 @@ impl CheckpointStore {
                     .map_err(|_| CoreError::Data("bad shard hash".into()))?,
             });
         }
-        check_coverage(&entries, total)?;
+        check_coverage(entries.iter().map(|e| (e.start, e.len)), total)?;
 
         let mut params = vec![0.0f32; total];
         let mut opt_m = vec![0.0f32; total];
@@ -342,7 +458,7 @@ impl CheckpointStore {
             fs::File::open(step_dir.join(&e.file))
                 .and_then(|mut f| f.read_to_end(&mut payload))
                 .map_err(|er| io_err("read shard", er))?;
-            if fnv1a(&payload) != e.hash {
+            if fnv1a(payload.iter().copied()) != e.hash {
                 return Err(CoreError::Data(format!(
                     "shard {} content hash mismatch (corrupt checkpoint)",
                     e.file
@@ -372,27 +488,20 @@ impl CheckpointStore {
     }
 
     /// Restores `group` from the committed shards at `step`: reassembles
-    /// the full state and broadcasts it through the workers'
-    /// `load_checkpoint` (ONE_TO_ALL), checksum and RNG round included.
+    /// the full state and broadcasts it as the workers' `load_checkpoint`
+    /// payload ([`AssembledState::to_payload`], ONE_TO_ALL), checksum and
+    /// RNG round included; every rank verifies it with [`decode_load`].
     pub fn restore_group(&self, group: &WorkerGroup, step: u64) -> Result<AssembledState> {
         let st = self.load_group(step, group.name())?;
-        let mut d = DataProto::with_rows(1);
-        d.insert_f32("params", st.params.clone(), st.params.len());
-        d.insert_f32("opt_m", st.opt_m.clone(), st.opt_m.len());
-        d.insert_f32("opt_v", st.opt_v.clone(), st.opt_v.len());
-        d.meta.insert("checksum".into(), format!("{:016x}", param_checksum(&st.params)));
-        d.meta.insert("gen_round".into(), st.gen_round.to_string());
-        d.meta.insert("opt_t".into(), st.opt_t.to_string());
-        group.call_sync("load_checkpoint", &d, Protocol::OneToAll)?;
+        group.call_sync("load_checkpoint", &st.to_payload(), Protocol::OneToAll)?;
         Ok(st)
     }
 }
 
 /// Verifies the shard ranges tile `[0, total)` exactly — no gaps, no
 /// overlaps. Zero-length shards (padding tails) are allowed.
-fn check_coverage(entries: &[ShardEntry], total: usize) -> Result<()> {
-    let mut ranges: Vec<(usize, usize)> =
-        entries.iter().filter(|e| e.len > 0).map(|e| (e.start, e.len)).collect();
+fn check_coverage(ranges: impl IntoIterator<Item = (usize, usize)>, total: usize) -> Result<()> {
+    let mut ranges: Vec<(usize, usize)> = ranges.into_iter().filter(|&(_, len)| len > 0).collect();
     ranges.sort_unstable();
     let mut cursor = 0usize;
     for (start, len) in ranges {
@@ -463,45 +572,27 @@ mod tests {
             match method {
                 "save_shard" => {
                     let total = self.params.len();
-                    let world = ctx.comms.world.size();
-                    let rank = ctx.rank;
-                    let padded = total.div_ceil(world);
-                    let start = (rank * padded).min(total);
-                    let end = ((rank + 1) * padded).min(total);
-                    let len = end - start;
-                    let mut out = DataProto::with_rows(1);
-                    for (name, src) in
-                        [("shard_params", &self.params), ("shard_m", &self.m), ("shard_v", &self.v)]
-                    {
-                        let mut row = src[start..end].to_vec();
-                        row.resize(padded, 0.0);
-                        out.insert_f32(name, row, padded);
-                    }
-                    out.insert_f32(
-                        "shard_meta",
-                        vec![
-                            rank as f32,
-                            start as f32,
-                            len as f32,
-                            1.0,
-                            total as f32,
-                            self.gen_round as f32,
-                            self.opt_t as f32,
-                        ],
-                        SHARD_META_WIDTH,
-                    );
-                    Ok(out)
+                    let padded = total.div_ceil(ctx.comms.world.size());
+                    let start = (ctx.rank * padded).min(total);
+                    let end = ((ctx.rank + 1) * padded).min(total);
+                    let meta = ShardMeta {
+                        rank: ctx.rank,
+                        start,
+                        len: end - start,
+                        owner: true,
+                        total,
+                        gen_round: self.gen_round,
+                        opt_t: self.opt_t,
+                    };
+                    let shard = [&self.params[start..], &self.m[start..], &self.v[start..]];
+                    Ok(encode_shard(meta, padded, shard))
                 }
                 "load_checkpoint" => {
-                    let (p, _) = data.f32("params")?;
-                    let (m, _) = data.f32("opt_m")?;
-                    let (v, _) = data.f32("opt_v")?;
-                    self.params = p.to_vec();
-                    self.m = m.to_vec();
-                    self.v = v.to_vec();
-                    self.gen_round =
-                        data.meta.get("gen_round").and_then(|s| s.parse().ok()).unwrap_or(0);
-                    self.opt_t = data.meta.get("opt_t").and_then(|s| s.parse().ok()).unwrap_or(0);
+                    let p = decode_load(&data, self.params.len())?;
+                    let (m, v, t) = p.opt.expect("toy payloads carry moments");
+                    (self.m, self.v, self.opt_t) = (m.to_vec(), v.to_vec(), t);
+                    self.params = p.params.to_vec();
+                    self.gen_round = p.gen_round.unwrap_or(0);
                     Ok(DataProto::empty())
                 }
                 "scramble" => {
@@ -695,18 +786,8 @@ mod tests {
 
     #[test]
     fn coverage_check_rejects_gaps() {
-        let gap = [
-            ShardEntry { file: "a".into(), start: 0, len: 4, hash: 0 },
-            ShardEntry { file: "b".into(), start: 6, len: 4, hash: 0 },
-        ];
-        assert!(check_coverage(&gap, 10).is_err());
-        let short = [ShardEntry { file: "a".into(), start: 0, len: 4, hash: 0 }];
-        assert!(check_coverage(&short, 10).is_err());
-        let ok = [
-            ShardEntry { file: "b".into(), start: 4, len: 6, hash: 0 },
-            ShardEntry { file: "a".into(), start: 0, len: 4, hash: 0 },
-            ShardEntry { file: "c".into(), start: 10, len: 0, hash: 0 },
-        ];
-        assert!(check_coverage(&ok, 10).is_ok());
+        assert!(check_coverage([(0, 4), (6, 4)], 10).is_err());
+        assert!(check_coverage([(0, 4)], 10).is_err());
+        assert!(check_coverage([(4, 6), (0, 4), (10, 0)], 10).is_ok());
     }
 }

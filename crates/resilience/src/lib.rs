@@ -15,12 +15,14 @@
 //!   heartbeat probing of device threads, and recovery bookkeeping
 //!   (MTTR, virtual time lost to rollback) exported through
 //!   `resilience.*` telemetry.
-//! * [`checkpoint`] — sharded, atomic checkpoint/restore: each rank
-//!   snapshots its (p,t,d)- or ZeRO-aware parameter shard plus Adam
-//!   moments and RNG round via the `save_shard` worker method; shards
-//!   are written tmp+rename with an FNV-1a content-hash manifest and a
-//!   final `COMMIT` marker, then reassembled and broadcast into a
-//!   freshly spawned worker group on restore.
+//! * [`checkpoint`] — sharded, atomic checkpoint/restore, and the one
+//!   owner of both checkpoint formats: each rank encodes its (p,t,d)- or
+//!   ZeRO-aware shard of parameters, Adam moments and RNG round as a
+//!   `save_shard` row; the validated owner shards are either written
+//!   tmp+rename under an FNV-1a content-hash manifest and a final
+//!   `COMMIT` marker or assembled in memory, and every restore sends one
+//!   `load_checkpoint` payload that each worker decodes and verifies
+//!   before touching its state.
 //!
 //! The recovery loop that ties these together lives in `hf-rlhf`
 //! (`remap_recoverable`), which checkpoints every N iterations, detects
@@ -36,6 +38,9 @@ pub mod checkpoint;
 pub mod detect;
 pub mod fault;
 
-pub use checkpoint::{AssembledState, CheckpointStore, GroupSaveReport, SAVE_SHARD_METHOD};
+pub use checkpoint::{
+    decode_load, encode_shard, snapshot_group, AssembledState, CheckpointStore, GroupSaveReport,
+    LoadPayload, ShardMeta, SAVE_SHARD_METHOD,
+};
 pub use detect::{classify, probe_cluster, ClusterHealth, FailureKind, RecoveryStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};

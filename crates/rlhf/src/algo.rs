@@ -8,6 +8,7 @@
 
 use hf_core::{Controller, DataProto, Protocol, Result, WorkerGroup, WorkerLayout};
 use hf_nn::LmConfig;
+use hf_resilience::snapshot_group;
 use hf_rewards::{PoolConfig, VerifierKind, VerifierSpec};
 use hf_simcluster::ResourcePool;
 
@@ -259,13 +260,11 @@ impl RlhfSystem {
             .register("compute_log_prob", Protocol::ThreeD)
             .register("compute_loss", Protocol::ThreeD)
             .register("update_actor", Protocol::ThreeD)
-            .register("save_checkpoint", Protocol::OneToOne)
             .register("save_shard", Protocol::AllToAll)
             .register("load_checkpoint", Protocol::OneToAll);
         if let Some(c) = &self.critic {
             c.register("compute_values", Protocol::ThreeD)
                 .register("update_critic", Protocol::ThreeD)
-                .register("save_checkpoint", Protocol::OneToOne)
                 .register("save_shard", Protocol::AllToAll)
                 .register("load_checkpoint", Protocol::OneToAll);
         }
@@ -287,31 +286,36 @@ impl RlhfSystem {
     }
 }
 
-/// A consistent checkpoint of the trainable models' states (paper §9:
-/// "saving of model states within each ParallelWorker Group ... to
-/// ensure system-wide consistency"). Parameter buffers carry FNV
-/// checksums; restoring a corrupted checkpoint fails loudly.
+/// A consistent in-memory checkpoint of the trainable models' states
+/// (paper §9: "saving of model states within each ParallelWorker Group
+/// ... to ensure system-wide consistency"). Each part is the model's
+/// `load_checkpoint` payload ([`AssembledState::to_payload`]): columns
+/// `params`, `opt_m`, `opt_v` and meta `checksum`, `gen_round`, `opt_t`.
+/// Restoring a corrupted or malformed part fails loudly with a data
+/// error before any rank of that model changes state.
+///
+/// [`AssembledState::to_payload`]: hf_resilience::AssembledState::to_payload
 #[derive(Debug, Clone)]
 pub struct SystemCheckpoint {
-    /// Actor weights + RNG round.
+    /// Actor weights, Adam state and RNG round.
     pub actor: DataProto,
-    /// Critic weights (when a critic exists).
+    /// Critic weights and Adam state (when a critic exists).
     pub critic: Option<DataProto>,
 }
 
-/// Saves a consistent checkpoint of actor (and critic) states through
-/// the single controller's RPC path (`ONE_TO_ONE` collect).
+/// Saves a consistent checkpoint of actor (and critic) states in
+/// memory through the one checkpoint save path: every rank answers
+/// `save_shard` (ALL_TO_ALL), and [`snapshot_group`] validates and
+/// assembles the owner shards exactly as `CheckpointStore::save_group`
+/// followed by `load_group` would.
 pub fn save_checkpoint(sys: &RlhfSystem) -> Result<SystemCheckpoint> {
-    let actor = sys.actor.invoke_sync("save_checkpoint", &DataProto::empty())?;
-    let critic = match &sys.critic {
-        Some(c) => Some(c.invoke_sync("save_checkpoint", &DataProto::empty())?),
-        None => None,
-    };
-    Ok(SystemCheckpoint { actor, critic })
+    let actor = snapshot_group(&sys.actor)?.to_payload();
+    let critic = sys.critic.as_ref().map(|c| snapshot_group(c).map(|s| s.to_payload()));
+    Ok(SystemCheckpoint { actor, critic: critic.transpose()? })
 }
 
-/// Restores a checkpoint onto every rank (`ONE_TO_ALL` broadcast),
-/// verifying checksums on each.
+/// Restores a checkpoint onto every rank (`ONE_TO_ALL` broadcast); each
+/// rank verifies lengths and checksum before changing any state.
 pub fn restore_checkpoint(sys: &RlhfSystem, ckpt: &SystemCheckpoint) -> Result<()> {
     sys.actor.invoke_sync("load_checkpoint", &ckpt.actor)?;
     if let (Some(c), Some(state)) = (&sys.critic, &ckpt.critic) {

@@ -4,10 +4,11 @@
 //! trajectory bit-for-bit (parameters *and* RNG state are saved) — and
 //! transient RPC drops are retried by the barrier without changing bits.
 
-use hf_core::{CallPolicy, Controller, Protocol, WorkerLayout};
+use hf_core::{CallPolicy, Controller, CoreError, Protocol, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
-use hf_resilience::{FaultInjector, FaultPlan, FaultTrigger};
+use hf_resilience::{CheckpointStore, FaultInjector, FaultPlan, FaultTrigger};
 use hf_rlhf::env::make_prompts;
+use hf_rlhf::recover::{restore_system_checkpoint, save_system_checkpoint};
 use hf_rlhf::{
     grpo_iteration, ppo_iteration, restore_checkpoint, save_checkpoint, Algorithm, Placement,
     RlhfConfig, RlhfSystem,
@@ -67,6 +68,58 @@ fn checksum_detects_silent_corruption() {
     assert!(err.is_err(), "corruption must be detected");
     let msg = format!("{}", err.unwrap_err());
     assert!(msg.contains("checksum"), "{msg}");
+    assert!(!msg.contains("  "), "one message, no broken continuation: {msg}");
+}
+
+#[test]
+fn malformed_payload_is_a_data_error_that_changes_no_state() {
+    // A truncated moment used to panic the rank inside Adam's
+    // `load_state` — after the actor had already taken the payload's RNG
+    // round — which lost the rank and poisoned the group. The shared
+    // decoder rejects it before any state changes.
+    let (ctrl, sys, cfg) = system();
+    let prompts =
+        |i: u64| make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, i);
+    ppo_iteration(&sys, &ctrl, &prompts(0)).unwrap();
+    let before = save_checkpoint(&sys).unwrap();
+    let mut bad = before.clone();
+    let (m, w) = bad.actor.f32("opt_m").unwrap();
+    let truncated = m[..w - 1].to_vec();
+    bad.actor.insert_f32("opt_m", truncated, w - 1);
+    bad.actor.meta.insert("gen_round".into(), "999".into());
+    let err = restore_checkpoint(&sys, &bad);
+    assert!(matches!(&err, Err(CoreError::Data(_))), "{err:?}");
+    assert!(ctrl.lost_ranks().is_empty(), "{:?}", ctrl.lost_ranks());
+    let after = save_checkpoint(&sys).unwrap();
+    for col in ["params", "opt_m", "opt_v"] {
+        assert_eq!(before.actor.f32(col).unwrap(), after.actor.f32(col).unwrap(), "{col}");
+    }
+    assert_eq!(before.actor.meta.get("gen_round"), after.actor.meta.get("gen_round"));
+    ppo_iteration(&sys, &ctrl, &prompts(1)).expect("the group is still healthy");
+}
+
+#[test]
+fn in_memory_restore_costs_the_same_as_the_store_restore() {
+    // The in-memory checkpoint is a freshly encoded payload, not a
+    // collected batch, so restoring it charges no GPU-to-GPU pull: the
+    // same controller time as restoring the committed on-disk shards.
+    let (ctrl, sys, cfg) = system();
+    let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 0);
+    ppo_iteration(&sys, &ctrl, &prompts).unwrap();
+    let dir = std::env::temp_dir().join(format!("hf-ft-restore-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir).unwrap();
+    save_system_checkpoint(&store, &sys, &ctrl, 1).unwrap();
+    let ckpt = save_checkpoint(&sys).unwrap();
+    let elapsed = |restore: &dyn Fn()| {
+        let t0 = ctrl.clock();
+        restore();
+        ctrl.clock() - t0
+    };
+    let from_store = elapsed(&|| restore_system_checkpoint(&store, &sys, 1).unwrap());
+    let in_memory = elapsed(&|| restore_checkpoint(&sys, &ckpt).unwrap());
+    assert_eq!(in_memory.to_bits(), from_store.to_bits(), "{in_memory} vs {from_store}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -6,8 +6,8 @@ use hf_core::{Controller, DataProto, Protocol, WorkerLayout};
 use hf_parallel::{GenGrouping, GroupingMethod, ParallelSpec};
 use hf_rlhf::env::{make_pretrain, make_prompts};
 use hf_rlhf::{
-    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, Placement, RlhfConfig,
-    RlhfSystem,
+    grpo_iteration, ppo_iteration, remax_iteration, safe_rlhf_iteration, save_checkpoint,
+    Placement, RlhfConfig, RlhfSystem,
 };
 use hf_simcluster::{ClusterSpec, ResourcePool};
 
@@ -125,13 +125,18 @@ fn dp_replicas_stay_in_lockstep() {
     let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 42);
     ppo_iteration(&sys, &ctrl, &prompts).unwrap();
-    // Collect the full parameter vector from every rank.
-    let all =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::AllToAll).unwrap();
-    let (params, w) = all.f32("params").unwrap();
-    let first = &params[..w];
-    for r in 1..4 {
-        assert_eq!(&params[r * w..(r + 1) * w], first, "rank {r} diverged from rank 0");
+    // Every rank's `save_shard` row — owner or not — must hold exactly
+    // the bytes of its range in the assembled checkpoint.
+    let ckpt = save_checkpoint(&sys).unwrap();
+    let all = sys.actor.call_sync("save_shard", &DataProto::empty(), Protocol::AllToAll).unwrap();
+    let (meta, mw) = all.f32("shard_meta").unwrap();
+    for (col, full) in [("shard_params", "params"), ("shard_m", "opt_m"), ("shard_v", "opt_v")] {
+        let (rows, w) = all.f32(col).unwrap();
+        let (full, _) = ckpt.actor.f32(full).unwrap();
+        for r in 0..4 {
+            let (start, len) = (meta[r * mw + 1] as usize, meta[r * mw + 2] as usize);
+            assert_eq!(&rows[r * w..r * w + len], &full[start..start + len], "rank {r} diverged");
+        }
     }
 }
 
@@ -141,23 +146,20 @@ fn checkpoint_round_trip_restores_weights() {
     let (ctrl, sys) = colocated_4gpu(&cfg, true, false);
     let prompts = make_prompts(8, cfg.prompt_len, cfg.response_len, cfg.lm.vocab as u32, 1);
 
-    let ckpt =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
+    let ckpt = save_checkpoint(&sys).unwrap().actor;
     ppo_iteration(&sys, &ctrl, &prompts).unwrap();
-    let after =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
+    let after = save_checkpoint(&sys).unwrap().actor;
     assert_ne!(
         ckpt.f32("params").unwrap().0,
         after.f32("params").unwrap().0,
         "training must change weights"
     );
-    // Restore and verify.
+    // Restore from a params-only payload and verify.
     let mut restore = DataProto::with_rows(1);
     let (p, w) = ckpt.f32("params").unwrap();
     restore.insert_f32("params", p.to_vec(), w);
     sys.actor.call_sync("load_checkpoint", &restore, Protocol::OneToAll).unwrap();
-    let restored =
-        sys.actor.call_sync("save_checkpoint", &DataProto::empty(), Protocol::OneToOne).unwrap();
+    let restored = save_checkpoint(&sys).unwrap().actor;
     assert_eq!(ckpt.f32("params").unwrap().0, restored.f32("params").unwrap().0);
 }
 
