@@ -947,24 +947,34 @@ mod tests {
         let perf = PerfModel::new(ClusterSpec::a100_with_gpus(16));
         let df =
             DataflowSpec::uniform(AlgoKind::Ppo, ModelConfig::llama_7b(), RlhfWorkload::paper());
-        let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
-        let _ = warm.search().expect("initial world maps");
-        let misses_before = warm.stats().cache_misses;
+        // Lose four ranks and re-search over the survivors with the
+        // caches carried over.
+        let warm_start = |search: fn(&Mapper) -> Option<Mapping>| {
+            let mut warm = Mapper::new(perf.clone(), df.clone(), 16);
+            let _ = search(&warm).expect("initial world maps");
+            let misses_before = warm.stats().cache_misses;
+            warm.resize_world(12);
+            let remapped = search(&warm).expect("survivor world maps");
+            assert_eq!(remapped.alloc.iter().sum::<usize>(), 12);
+            (remapped, warm.stats().cache_misses - misses_before)
+        };
 
-        // Lose four ranks, re-search over the survivors with the caches
-        // carried over.
-        warm.resize_world(12);
-        let remapped = warm.search().expect("survivor world maps");
-        assert_eq!(remapped.alloc.iter().sum::<usize>(), 12);
-        let warm_misses = warm.stats().cache_misses - misses_before;
-
-        let cold = Mapper::new(perf, df, 12);
-        let reference = cold.search().expect("cold survivor world maps");
+        // The parallel search's result is bit-identical to a cold one.
+        let (remapped, _) = warm_start(Mapper::search);
+        let reference =
+            Mapper::new(perf.clone(), df.clone(), 12).search().expect("cold survivor world maps");
         assert_eq!(
             remapped.costs.total().to_bits(),
             reference.costs.total().to_bits(),
             "warm-started re-search must be bit-identical to a cold search"
         );
+
+        // Cache reuse is counted on the sequential search: racing
+        // parallel workers can both miss one key, so the parallel miss
+        // count depends on thread interleaving.
+        let (_, warm_misses) = warm_start(Mapper::search_sequential);
+        let cold = Mapper::new(perf, df, 12);
+        let _ = cold.search_sequential().expect("cold survivor world maps");
         assert!(
             warm_misses < cold.stats().cache_misses,
             "warm start must reuse cached strategies ({} vs {})",

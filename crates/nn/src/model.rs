@@ -81,8 +81,9 @@ impl ForwardPass {
         let total = self.param_vars.iter().map(|(_, off, len)| off + len).max().unwrap_or(0);
         let mut grad = vec![0.0f32; total];
         for (var, off, len) in &self.param_vars {
-            let g = self.tape.grad(*var);
-            grad[*off..*off + *len].copy_from_slice(g.data());
+            if let Some(g) = self.tape.take_grad(*var) {
+                grad[*off..*off + *len].copy_from_slice(g.data());
+            }
         }
         grad
     }

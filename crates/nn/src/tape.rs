@@ -113,9 +113,19 @@ impl Tape {
     }
 
     /// The accumulated gradient at `v` (zeros if it never received one).
+    ///
+    /// After [`Tape::backward`] only leaves keep their gradient: the pass
+    /// consumes each interior node's gradient as it propagates it, so an
+    /// interior `v` reads as zeros.
     pub fn grad(&self, v: Var) -> Tensor {
         let n = &self.nodes[v.0];
         n.grad.clone().unwrap_or_else(|| Tensor::zeros(n.value.rows(), n.value.cols()))
+    }
+
+    /// Moves the gradient at `v` out of the tape (`None` if it never
+    /// received one).
+    pub(crate) fn take_grad(&mut self, v: Var) -> Option<Tensor> {
+        self.nodes[v.0].grad.take()
     }
 
     /// `x · wᵀ`.
@@ -327,10 +337,15 @@ impl Tape {
         assert_eq!(self.nodes[loss.0].value.len(), 1, "backward needs a scalar loss");
         self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
         for idx in (0..=loss.0).rev() {
-            let Some(gy) = self.nodes[idx].grad.clone() else { continue };
+            // Leaves keep their gradient for the caller; an interior
+            // gradient is consumed here.
+            if matches!(self.nodes[idx].op, Op::Leaf) {
+                continue;
+            }
+            let Some(gy) = self.nodes[idx].grad.take() else { continue };
             // Take the op apart immutably first; accumulate afterwards.
             match &self.nodes[idx].op {
-                Op::Leaf => {}
+                Op::Leaf => unreachable!("leaves are skipped above"),
                 Op::MatmulNt { x, w } => {
                     let (x, w) = (*x, *w);
                     let dx = gy.matmul_nn(&self.nodes[w].value);
@@ -349,9 +364,8 @@ impl Tape {
                 }
                 Op::Silu { x } => {
                     let x = *x;
-                    let xv = self.nodes[x].value.clone();
                     let mut dx = gy;
-                    for (d, &v) in dx.data_mut().iter_mut().zip(xv.data().iter()) {
+                    for (d, &v) in dx.data_mut().iter_mut().zip(self.nodes[x].value.data()) {
                         let s = sigmoid(v);
                         *d *= s * (1.0 + v * (1.0 - s));
                     }
@@ -359,8 +373,8 @@ impl Tape {
                 }
                 Op::RmsNorm { x, gain, eps } => {
                     let (x, gain, eps) = (*x, *gain, *eps);
-                    let xv = self.nodes[x].value.clone();
-                    let g = self.nodes[gain].value.clone();
+                    let xv = &self.nodes[x].value;
+                    let g = &self.nodes[gain].value;
                     let n = xv.cols() as f32;
                     let mut dx = Tensor::zeros(xv.rows(), xv.cols());
                     let mut dg = Tensor::zeros(1, xv.cols());
@@ -400,21 +414,16 @@ impl Tape {
                 }
                 Op::Embed { table, ids } => {
                     let table = *table;
-                    let ids = ids.clone();
-                    let tv_rows = self.nodes[table].value.rows();
-                    let mut dt = Tensor::zeros(tv_rows, gy.cols());
+                    let mut dt = Tensor::zeros(self.nodes[table].value.rows(), gy.cols());
                     for (r, &id) in ids.iter().enumerate() {
-                        let grow = gy.row(r).to_vec();
-                        for (c, gval) in grow.iter().enumerate() {
-                            dt.set(id, c, dt.get(id, c) + gval);
+                        for (d, &gval) in dt.row_mut(id).iter_mut().zip(gy.row(r)) {
+                            *d += gval;
                         }
                     }
                     self.accumulate(table, dt);
                 }
                 Op::GatherLogProb { logits, targets, probs } => {
                     let logits = *logits;
-                    let targets = targets.clone();
-                    let probs = probs.clone();
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
                     for (t, &tok) in targets.iter().enumerate() {
                         let go = gy.get(t, 0);
@@ -430,7 +439,6 @@ impl Tape {
                 }
                 Op::MeanEntropy { logits, probs } => {
                     let logits = *logits;
-                    let probs = probs.clone();
                     let go = gy.get(0, 0) / probs.rows() as f32;
                     let mut dl = Tensor::zeros(probs.rows(), probs.cols());
                     for r in 0..probs.rows() {
@@ -466,9 +474,8 @@ impl Tape {
                     self.accumulate(x, dx);
                 }
                 Op::PpoClip { logp, old_logp, adv, eps } => {
-                    let logp = *logp;
-                    let (old_logp, adv, eps) = (old_logp.clone(), adv.clone(), *eps);
-                    let lv = self.nodes[logp].value.clone();
+                    let (logp, eps) = (*logp, *eps);
+                    let lv = &self.nodes[logp].value;
                     let go = gy.get(0, 0) / old_logp.len() as f32;
                     let mut dl = Tensor::zeros(lv.rows(), lv.cols());
                     for t in 0..old_logp.len() {
@@ -489,9 +496,8 @@ impl Tape {
                     self.accumulate(logp, dl);
                 }
                 Op::ValueClip { v, returns, old_v, eps } => {
-                    let v = *v;
-                    let (returns, old_v, eps) = (returns.clone(), old_v.clone(), *eps);
-                    let vv = self.nodes[v].value.clone();
+                    let (v, eps) = (*v, *eps);
+                    let vv = &self.nodes[v].value;
                     let go = gy.get(0, 0) / returns.len() as f32;
                     let mut dv = Tensor::zeros(vv.rows(), vv.cols());
                     for t in 0..returns.len() {

@@ -2,6 +2,81 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
 
+/// Output columns per register tile of the matmul kernels.
+const TILE: usize = 16;
+/// Output rows per register tile of the matmul kernels.
+const ROWS: usize = 2;
+
+/// `aᵀ · b` with both operands stored reduction-major: `a` is
+/// `[red × rows]`, `b` is `[red × n]`, the result `[rows × n]`. The one
+/// kernel behind all three matmuls.
+///
+/// Every output starts at `+0.0` and adds `a[p][i] · b[p][j]` in
+/// ascending `p`; with `skip_zero`, a step whose `a[p][i]` is zero adds
+/// nothing to row `i`. Outputs are computed in register tiles of up to
+/// `ROWS` rows by `TILE` columns (the leftover `n % TILE` columns one at
+/// a time): a tile's columns are independent lanes, so they vectorise,
+/// and its rows reuse each loaded `b` slice. A tile only decides which
+/// outputs share a loop; each output's own sum is fixed, so the bits do
+/// not depend on the tiling.
+fn matmul_reduction_major(a: &[f32], b: &[f32], rows: usize, n: usize, skip_zero: bool) -> Tensor {
+    /// One `R × W` tile with top-left output `(i, j)`.
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        a: &[f32],
+        b: &[f32],
+        (rows, n): (usize, usize),
+        (i, j): (usize, usize),
+        skip_zero: bool,
+        out: &mut Tensor,
+    ) {
+        let mut acc = [[0.0f32; W]; R];
+        for (ap, bp) in a.chunks_exact(rows).zip(b.chunks_exact(n)) {
+            let ap: &[f32; R] = ap[i..i + R].try_into().expect("R rows");
+            let bp: &[f32; W] = bp[j..j + W].try_into().expect("W columns");
+            for (acc, &x) in acc.iter_mut().zip(ap) {
+                if skip_zero && x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in acc.iter_mut().zip(bp) {
+                    *o += x * y;
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out.row_mut(i + r)[j..j + W].copy_from_slice(acc);
+        }
+    }
+    /// Every tile of the `W` columns from `j`: `ROWS`-row blocks, then
+    /// the leftover rows one at a time.
+    #[inline(always)]
+    fn columns<const W: usize>(
+        a: &[f32],
+        b: &[f32],
+        dims: (usize, usize),
+        j: usize,
+        skip_zero: bool,
+        out: &mut Tensor,
+    ) {
+        let blocked = dims.0 - dims.0 % ROWS;
+        for i in (0..blocked).step_by(ROWS) {
+            tile::<ROWS, W>(a, b, dims, (i, j), skip_zero, out);
+        }
+        for i in blocked..dims.0 {
+            tile::<1, W>(a, b, dims, (i, j), skip_zero, out);
+        }
+    }
+    let mut out = Tensor::zeros(rows, n);
+    let tiled = n - n % TILE;
+    for j in (0..tiled).step_by(TILE) {
+        columns::<TILE>(a, b, (rows, n), j, skip_zero, &mut out);
+    }
+    for j in tiled..n {
+        columns::<1>(a, b, (rows, n), j, skip_zero, &mut out);
+    }
+    out
+}
+
 /// A dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -83,75 +158,67 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The transpose, `[cols × rows]`. Source rows go four at a time, so
+    /// each destination row takes four contiguous values per pass.
+    fn transposed(&self) -> Tensor {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut t = Tensor::zeros(cols, rows);
+        let quads = rows - rows % 4;
+        for r in (0..quads).step_by(4) {
+            let src = [self.row(r), self.row(r + 1), self.row(r + 2), self.row(r + 3)];
+            for (c, dst) in t.data.chunks_exact_mut(rows).enumerate() {
+                dst[r..r + 4].copy_from_slice(&[src[0][c], src[1][c], src[2][c], src[3][c]]);
+            }
+        }
+        for r in quads..rows {
+            for (dst, &v) in t.data.iter_mut().skip(r).step_by(rows).zip(self.row(r)) {
+                *dst = v;
+            }
+        }
+        t
+    }
+
     /// `self · otherᵀ`, where `self` is `[m × k]` and `other` is `[n × k]`.
+    ///
+    /// Each output starts at `+0.0` and adds its `k` products in
+    /// ascending `k`. Both operands are transposed once per call into
+    /// `[k × m]` and `[k × n]` scratch buffers, so a tile of outputs
+    /// streams contiguous slices of each.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_nt inner dims");
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            for j in 0..other.rows {
-                let wj = other.row(j);
-                let mut acc = 0.0f32;
-                for k in 0..self.cols {
-                    acc += xi[k] * wj[k];
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
+        let (xt, wt) = (self.transposed(), other.transposed());
+        matmul_reduction_major(&xt.data, &wt.data, self.rows, other.rows, false)
     }
 
     /// `selfᵀ · other`, where `self` is `[m × k]` and `other` is `[m × n]`.
+    ///
+    /// Each output `[kk][j]` starts at `+0.0` and adds its products in
+    /// ascending `i`, skipping every `i` whose `self[i][kk]` is zero.
     ///
     /// # Panics
     ///
     /// Panics on outer-dimension mismatch.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_tn outer dims");
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            let yi = other.row(i);
-            for k in 0..self.cols {
-                let xik = xi[k];
-                if xik == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[k * other.cols..(k + 1) * other.cols];
-                for (o, y) in orow.iter_mut().zip(yi.iter()) {
-                    *o += xik * y;
-                }
-            }
-        }
-        out
+        matmul_reduction_major(&self.data, &other.data, self.cols, other.cols, true)
     }
 
     /// `self · other`, where `self` is `[m × k]` and `other` is `[k × n]`.
+    ///
+    /// Each output starts at `+0.0` and adds its products in ascending
+    /// `k`, skipping every `k` whose `self[i][k]` is zero. `self` is
+    /// transposed once per call into a `[k × m]` scratch buffer.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_nn(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul_nn inner dims");
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let xi = self.row(i);
-            let orow_base = i * other.cols;
-            for (k, &xik) in xi.iter().enumerate() {
-                if xik == 0.0 {
-                    continue;
-                }
-                let wrow = other.row(k);
-                for (j, &w) in wrow.iter().enumerate() {
-                    out.data[orow_base + j] += xik * w;
-                }
-            }
-        }
-        out
+        matmul_reduction_major(&self.transposed().data, &other.data, self.rows, other.cols, true)
     }
 
     /// Elementwise addition.
@@ -191,6 +258,101 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Reference `x · wᵀ`: one serial dot product per output.
+    fn naive_nt(x: &Tensor, w: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(x.rows, w.rows);
+        for i in 0..x.rows {
+            for j in 0..w.rows {
+                let mut acc = 0.0f32;
+                for k in 0..x.cols {
+                    acc += x.get(i, k) * w.get(j, k);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// Reference `xᵀ · y`: rank-1 updates in ascending row order,
+    /// skipping zero entries of `x`.
+    fn naive_tn(x: &Tensor, y: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(x.cols, y.cols);
+        for i in 0..x.rows {
+            for k in 0..x.cols {
+                let xik = x.get(i, k);
+                if xik == 0.0 {
+                    continue;
+                }
+                for j in 0..y.cols {
+                    out.set(k, j, out.get(k, j) + xik * y.get(i, j));
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference `x · w`: row updates in ascending `k`, skipping zero
+    /// entries of `x`.
+    fn naive_nn(x: &Tensor, w: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(x.rows, w.cols);
+        for i in 0..x.rows {
+            for k in 0..x.cols {
+                let xik = x.get(i, k);
+                if xik == 0.0 {
+                    continue;
+                }
+                for j in 0..w.cols {
+                    out.set(i, j, out.get(i, j) + xik * w.get(k, j));
+                }
+            }
+        }
+        out
+    }
+
+    /// A `[rows × cols]` tensor of values in `[-2, 2)`, sprinkled with
+    /// `0.0`, `-0.0` and infinities (a zero times an infinity is where
+    /// the zero skip shows in the bits).
+    fn sprinkled(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0u32..32) {
+                0..=3 => 0.0,
+                4..=7 => -0.0,
+                8 => f32::INFINITY,
+                9 => f32::NEG_INFINITY,
+                _ => rng.random::<f32>() * 4.0 - 2.0,
+            })
+            .collect();
+        Tensor::new(data, rows, cols)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tiled_kernels_match_naive_loops_bit_for_bit(
+            m in 1usize..=70,
+            k in 1usize..=70,
+            n in 1usize..=70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = sprinkled(&mut rng, m, k);
+            let w_nt = sprinkled(&mut rng, n, k);
+            let w_nn = sprinkled(&mut rng, k, n);
+            let y_tn = sprinkled(&mut rng, m, n);
+            prop_assert_eq!(bits(&x.matmul_nt(&w_nt)), bits(&naive_nt(&x, &w_nt)), "nt");
+            prop_assert_eq!(bits(&x.matmul_nn(&w_nn)), bits(&naive_nn(&x, &w_nn)), "nn");
+            prop_assert_eq!(bits(&x.matmul_tn(&y_tn)), bits(&naive_tn(&x, &y_tn)), "tn");
+        }
+    }
 
     #[test]
     fn matmul_nt_matches_hand_computation() {
@@ -231,6 +393,16 @@ mod tests {
             }
         }
         assert_eq!(x.matmul_nt(&w).data(), x.matmul_nn(&wt).data());
+    }
+
+    #[test]
+    fn empty_dimensions_give_empty_or_zero_products() {
+        let (e0x3, e2x0, e3x0) = (Tensor::zeros(0, 3), Tensor::zeros(2, 0), Tensor::zeros(3, 0));
+        assert_eq!(e0x3.matmul_nt(&Tensor::zeros(2, 3)), Tensor::zeros(0, 2));
+        assert_eq!(e2x0.matmul_nt(&e3x0), Tensor::zeros(2, 3));
+        assert_eq!(e2x0.matmul_nn(&Tensor::zeros(0, 3)), Tensor::zeros(2, 3));
+        assert_eq!(e0x3.matmul_tn(&Tensor::zeros(0, 2)), Tensor::zeros(3, 2));
+        assert_eq!(Tensor::zeros(2, 3).matmul_nn(&e3x0), Tensor::zeros(2, 0));
     }
 
     #[test]
